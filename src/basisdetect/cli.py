@@ -14,13 +14,16 @@ multiplication, parentheses, unary minus, and integer or rational literals
 (e.g. 1/2); exponents are nonnegative integer literals.
 
 Exit codes: 0 on success, 1 when a detect command finds no classes, 2 on
-input or option errors.  Reports go to stdout, diagnostics to stderr.
+input or option errors and when a computation hits a resource limit
+(subduction step cap, recursion depth).  Reports go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import warnings
@@ -35,6 +38,7 @@ from .orders import LatticePolytope, OrderClass, extract_weight_vectors, normali
 from .polyring import Polynomial, PolynomialRing, TermOrder, homogenize_with_t
 from .sagbi import (
     HilbertBoundWarning,
+    SubductionLimitError,
     hilbert_vector,
     is_sagbi_hilbert,
     is_sagbi_subduction,
@@ -262,9 +266,19 @@ def _check_sagbi_hilbert(polys: list[Polynomial], bound: int, cls: OrderClass) -
         return is_sagbi_hilbert(polys, cls, bound)
 
 
+def _pool_size(jobs: int, nclasses: int, cpus: int | None) -> int:
+    """Worker count: never more than the CPUs or the classes to check.
+
+    Under fork, ``ProcessPoolExecutor`` starts all ``max_workers`` processes
+    up front, so an unclamped ``--jobs`` would fork that many at once.
+    """
+    return max(1, min(jobs, cpus or 1, nclasses))
+
+
 def _map_classes(check, classes: list[OrderClass], jobs: int) -> list[bool]:
-    if jobs > 1 and len(classes) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, len(classes), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(check, classes))
     return [check(cls) for cls in classes]
 
@@ -337,6 +351,12 @@ def _resolve_bound_warning(polys, bound) -> tuple[int, str | None]:
 
 def run(args) -> int:
     """Execute one parsed command line; returns the process exit code."""
+    if args.jobs < 1:
+        print(
+            "option error: --jobs must be at least 1, got %d" % args.jobs,
+            file=sys.stderr,
+        )
+        return 2
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -434,6 +454,9 @@ def run(args) -> int:
         return 0
     except (ParseError, ValueError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
+        return 2
+    except (SubductionLimitError, RecursionError) as exc:
+        print("limit error: %s" % exc, file=sys.stderr)
         return 2
 
 

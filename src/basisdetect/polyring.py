@@ -211,9 +211,6 @@ class MonomialOrder:
     def key(self, exponent: Exponent):
         raise NotImplementedError
 
-    def greater(self, a: Exponent, b: Exponent) -> bool:
-        return self.key(a) > self.key(b)
-
     def leading_exponent(self, f: Polynomial) -> Exponent:
         if f.is_zero():
             raise ValueError("the zero polynomial has no leading term")

@@ -163,7 +163,7 @@ def test_criterion_08_minors_2x2_of_3x3(tmp_path, capsys):
         and code2 == 0
         and len(sagbi["classes"]) == 6
         and len(gb["classes"]) == 96
-        and elapsed < 1800
+        and elapsed < 60
     )
     _finish(8, ok, "6 SAGBI classes, 96 GB classes, %.1fs" % elapsed)
 
@@ -231,7 +231,7 @@ def test_criterion_11_principal_minors(tmp_path, capsys):
         and signatures == {(6, 3), (6, 2), (5, 3), (4, 4), (3, 6)}
         and rank_report["groups"][0]["dim"] == 6
         and rank_report["groups"][0]["degree"] == 3
-        and elapsed < 1800
+        and elapsed < 60
     )
     _finish(
         11, ok, "14 classes, no SAGBI, nicer table signatures, %.1fs" % elapsed
@@ -248,7 +248,7 @@ def test_criterion_12_truncation_variety(tmp_path, capsys):
         capsys, "detect-sagbi", "--input", path, "--homogenize-t"
     )
     elapsed = time.monotonic() - start
-    ok = code == 1 and report["classes"] == [] and elapsed < 1800
+    ok = code == 1 and report["classes"] == [] and elapsed < 60
     _finish(12, ok, "t*Q is never a SAGBI basis, %.1fs" % elapsed)
 
 
@@ -258,7 +258,7 @@ def test_criterion_13_sullivant_talaska(tmp_path, capsys):
     path = _write(tmp_path, systems.sullivant_talaska_c4(), "st4.txt")
     code, report = _run_json(capsys, "detect-gb", "--input", path)
     elapsed = time.monotonic() - start
-    ok = code == 0 and len(report["classes"]) == 9 and elapsed < 1800
+    ok = code == 0 and len(report["classes"]) == 9 and elapsed < 60
     _finish(13, ok, "9 GB classes, %.1fs" % elapsed)
 
 

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from basisdetect import cli
 from basisdetect.cli import ParseError, main, parse_system
+from basisdetect.sagbi import SubductionLimitError
 
 import systems
 
@@ -317,3 +319,65 @@ def test_jobs_determinism(tmp_path, capsys):
             outputs.append(out)
     assert outputs[0] == outputs[2]
     assert outputs[1] == outputs[3]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    path = write_system(tmp_path, systems.twisted_cubic())
+    code, out, err = run_cli(
+        capsys, "detect-gb", "--input", path, "--jobs", jobs
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--jobs" in err
+
+
+@pytest.mark.parametrize(
+    "jobs, nclasses, cpus, expected",
+    [
+        (5000, 210, 2, 2),
+        (4, 1, 8, 1),
+        (1, 100, 8, 1),
+        (8, 5, 16, 5),
+        (3, 10, None, 1),
+        (2, 0, 4, 1),
+    ],
+)
+def test_pool_size_clamped_to_cpus_and_classes(jobs, nclasses, cpus, expected):
+    assert cli._pool_size(jobs, nclasses, cpus) == expected
+
+
+def test_map_classes_runs_serially_when_clamped_to_one(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no process pool expected")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert cli._map_classes(lambda c: c > 1, [1, 2, 3], 5000) == [
+        False,
+        True,
+        True,
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, check, error",
+    [
+        ("detect-sagbi", "_check_sagbi_subduction", SubductionLimitError("cap hit")),
+        ("universal-sagbi", "_check_sagbi_subduction", SubductionLimitError("cap")),
+        ("detect-gb", "_check_gb", RecursionError("maximum recursion depth")),
+        ("universal-gb", "_check_gb", RecursionError("maximum recursion depth")),
+    ],
+)
+def test_limit_failures_exit_2_with_one_line(
+    tmp_path, capsys, monkeypatch, command, check, error
+):
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(cli, check, failing)
+    path = write_system(tmp_path, systems.twisted_cubic())
+    code, out, err = run_cli(capsys, command, "--input", path)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("limit error: ")

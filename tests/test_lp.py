@@ -1,0 +1,157 @@
+"""The fraction-free simplex against the dense ``Fraction`` tableau oracle.
+
+Both use Bland's rule on the same exact data, so they make the same pivots
+and must agree exactly: the same optimal value and point, or the same
+error.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from basisdetect import extract_weight_vectors
+from basisdetect import lp as lp_mod
+from basisdetect.lp import UnboundedError, maximize
+
+import lp_oracle
+import systems
+
+
+def outcome(solver, objective, rows, rhs):
+    try:
+        return solver(objective, rows, rhs)
+    except (UnboundedError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_agrees(objective, rows, rhs):
+    expected = outcome(lp_oracle.maximize, objective, rows, rhs)
+    got = outcome(maximize, objective, rows, rhs)
+    assert got == expected, (objective, rows, rhs)
+    if isinstance(expected, tuple):
+        assert all(type(x) is Fraction for x in [got[0], *got[1]])
+    return expected
+
+
+def random_entry(rng, low=-3, high=3):
+    value = Fraction(rng.randint(low, high), rng.choice((1, 1, 2, 3, 4)))
+    return value if value.denominator > 1 else int(value)
+
+
+def test_random_rational_lps_match_oracle():
+    rng = random.Random(20240426)
+    bounded = unbounded = 0
+    for _ in range(600):
+        nvars = rng.randint(1, 5)
+        m = rng.randint(0, 6)
+        rows = [[random_entry(rng) for _ in range(nvars)] for _ in range(m)]
+        rhs = [random_entry(rng, 0, 4) for _ in range(m)]
+        objective = [random_entry(rng) for _ in range(nvars)]
+        if assert_agrees(objective, rows, rhs) is UnboundedError:
+            unbounded += 1
+        else:
+            bounded += 1
+    assert bounded >= 100 and unbounded >= 100
+
+
+def test_degenerate_zero_rhs_lps_match_oracle():
+    rng = random.Random(7)
+    for _ in range(300):
+        nvars = rng.randint(1, 5)
+        m = rng.randint(1, 7)
+        rows = [[random_entry(rng) for _ in range(nvars)] for _ in range(m)]
+        # most right-hand sides zero: many ties in the ratio test
+        rhs = [rng.choice((0, 0, 0, 1)) for _ in range(m)]
+        objective = [random_entry(rng) for _ in range(nvars)]
+        assert_agrees(objective, rows, rhs)
+
+
+def cone_lp(rng, n):
+    """max eps s.t. <w, u - lead> + eps <= 0, 0 <= w <= 1, as in orders."""
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        support = set()
+        while len(support) < 2:
+            support = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(4)}
+        support = sorted(support)
+        lead = rng.choice(support)
+        rows += [[u[j] - lead[j] for j in range(n)] + [1] for u in support if u != lead]
+    rhs = [0] * len(rows)
+    for j in range(n):
+        rows.append([int(j == k) for k in range(n + 1)])
+        rhs.append(1)
+    return [0] * n + [1], rows, rhs
+
+
+def test_cone_lps_with_zero_and_positive_optimum_match_oracle():
+    rng = random.Random(3)
+    zero = positive = 0
+    for _ in range(400):
+        objective, rows, rhs = cone_lp(rng, rng.randint(1, 4))
+        value, point = assert_agrees(objective, rows, rhs)
+        if value == 0:
+            zero += 1
+        else:
+            positive += 1
+    assert zero >= 50 and positive >= 50
+
+
+def test_unbounded_lps_match_oracle():
+    rng = random.Random(11)
+    for _ in range(200):
+        nvars = rng.randint(1, 4)
+        m = rng.randint(0, 5)
+        # the last variable never appears with a positive coefficient
+        rows = [
+            [random_entry(rng) for _ in range(nvars - 1)] + [rng.randint(-2, 0)]
+            for _ in range(m)
+        ]
+        rhs = [rng.randint(0, 3) for _ in range(m)]
+        objective = [random_entry(rng) for _ in range(nvars - 1)] + [1]
+        assert assert_agrees(objective, rows, rhs) is UnboundedError
+
+
+@pytest.mark.parametrize(
+    "objective, rows, rhs",
+    [
+        ([1], [[1]], [-1]),
+        ([1, 1], [[1, 0], [1]], [1, 1]),
+        ([1], [[1], [2, 3]], [0, 0]),
+    ],
+)
+def test_invalid_input_raises_like_oracle(objective, rows, rhs):
+    with pytest.raises(ValueError):
+        lp_oracle.maximize(objective, rows, rhs)
+    with pytest.raises(ValueError):
+        maximize(objective, rows, rhs)
+
+
+def test_empty_programs_match_oracle():
+    assert_agrees([], [], [])
+    assert_agrees([0, -1], [], [])
+    assert_agrees([1], [], [])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        systems.two_cone_example,
+        systems.twisted_cubic,
+        systems.three_surfaces,
+        systems.gaussian_ci,
+        systems.elementary_symmetric,
+    ],
+)
+def test_every_enumeration_lp_matches_oracle(make, monkeypatch):
+    seen = []
+
+    def recording(objective, rows, rhs):
+        seen.append((objective, rows, rhs))
+        return maximize(objective, rows, rhs)
+
+    monkeypatch.setattr(lp_mod, "maximize", recording)
+    extract_weight_vectors(make())
+    assert seen
+    for objective, rows, rhs in seen:
+        assert_agrees(objective, rows, rhs)
