@@ -11,7 +11,9 @@ Input format (one statement per line, '#' starts a comment):
 Any ``key: value`` line before ``polys:`` other than the ring declaration
 is collected into an options map.  Expressions use +, -, *, ^ with explicit
 multiplication, parentheses, unary minus, and integer or rational literals
-(e.g. 1/2); exponents are nonnegative integer literals.
+(e.g. 1/2); exponents are nonnegative integer literals.  A product or power
+whose total degree (or exponent) would exceed MAX_DEGREE, or whose operand
+term counts multiply to more than MAX_TERMS, is a parse error.
 
 Exit codes: 0 on success, 1 when a detect command finds no classes, 2 on
 input or option errors and when a computation hits a resource limit
@@ -23,29 +25,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from math import comb
 
-from . import sagbi as sagbi_mod
-from .groebner import is_groebner_basis
-from .orders import LatticePolytope, OrderClass, extract_weight_vectors, normalized_volume, polytope_dim
-from .polyring import Polynomial, PolynomialRing, TermOrder, homogenize_with_t
-from .sagbi import (
-    HilbertBoundWarning,
-    SubductionLimitError,
-    hilbert_vector,
-    is_sagbi_hilbert,
-    is_sagbi_subduction,
-)
+from .detect import verdicts
+from .orders import OrderClass, extract_weight_vectors
+from .polyring import Polynomial, PolynomialRing, homogenize_with_t
+from .sagbi import HilbertBoundWarning, RankGroup, SubductionLimitError, rank_orders
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 OPTION_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):\s*(.*)\Z")
+# Parser bounds: every example system needs degree 6 and single-term
+# operands, and hostile input such as (x+y)^100000 must fail at once.
+MAX_DEGREE = 100
+MAX_TERMS = 10_000
 
 
 class ParseError(ValueError):
@@ -109,6 +106,14 @@ class _ExprParser:
         token = token or self.peek()
         raise ParseError(message, self.line, token[2])
 
+    def check_size(self, degree: int, terms: int, token) -> None:
+        """Refuse a product before computing it, given its total degree and
+        an upper bound on its term count (and on its multiplication work)."""
+        if degree > MAX_DEGREE:
+            self.fail("total degree above %d" % MAX_DEGREE, token)
+        if terms > MAX_TERMS:
+            self.fail("product of more than %d terms" % MAX_TERMS, token)
+
     def parse(self) -> Polynomial:
         poly = self.expression()
         kind, value, _ = self.peek()
@@ -138,8 +143,14 @@ class _ExprParser:
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
-                self.advance()
-                poly = poly * self.factor()
+                star = self.advance()
+                right = self.factor()
+                self.check_size(
+                    poly.total_degree() + right.total_degree(),
+                    len(poly.terms) * len(right.terms),
+                    star,
+                )
+                poly = poly * right
             else:
                 return poly
 
@@ -151,14 +162,22 @@ class _ExprParser:
         base = self.atom()
         kind, value, start = self.peek()
         if kind == "op" and value == "^":
-            self.advance()
+            caret = self.advance()
             kind, value, start = self.peek()
             if kind == "op" and value == "-":
                 self.fail("negative exponent")
             if kind != "int":
                 self.fail("exponent must be a nonnegative integer literal")
             self.advance()
-            return base ** int(value)
+            k = int(value)
+            if k > MAX_DEGREE:
+                self.fail("exponent above %d" % MAX_DEGREE, caret)
+            m = len(base.terms)
+            # the last step of Polynomial.__pow__ multiplies f^(k-1), of at
+            # most C(m+k-2, k-1) terms (one per multiset of terms of f), by f
+            last = comb(m + k - 2, k - 1) * m if k > 1 else m
+            self.check_size(base.total_degree() * k, last, caret)
+            return base**k
         return base
 
     def atom(self) -> Polynomial:
@@ -249,51 +268,15 @@ def parse_system(text: str) -> tuple[SystemFile, list[Polynomial]]:
 
 
 # ---------------------------------------------------------------------------
-# per-class checks (module level so worker processes can import them)
-
-
-def _check_gb(polys: list[Polynomial], cls: OrderClass) -> bool:
-    return is_groebner_basis(polys, TermOrder(cls.weight))
-
-
-def _check_sagbi_subduction(polys: list[Polynomial], cls: OrderClass) -> bool:
-    return is_sagbi_subduction(polys, cls)
-
-
-def _check_sagbi_hilbert(polys: list[Polynomial], bound: int, cls: OrderClass) -> bool:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HilbertBoundWarning)
-        return is_sagbi_hilbert(polys, cls, bound)
-
-
-def _pool_size(jobs: int, nclasses: int, cpus: int | None) -> int:
-    """Worker count: never more than the CPUs or the classes to check.
-
-    Under fork, ``ProcessPoolExecutor`` starts all ``max_workers`` processes
-    up front, so an unclamped ``--jobs`` would fork that many at once.
-    """
-    return max(1, min(jobs, cpus or 1, nclasses))
-
-
-def _map_classes(check, classes: list[OrderClass], jobs: int) -> list[bool]:
-    workers = _pool_size(jobs, len(classes), os.cpu_count())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(check, classes))
-    return [check(cls) for cls in classes]
-
-
-# ---------------------------------------------------------------------------
 # report assembly
 
 
 def _class_entry(ring: PolynomialRing, cls: OrderClass, is_basis=None) -> dict:
-    entry = {
+    return {
         "weight": list(cls.weight),
         "leading_monomials": [ring.format_monomial(e) for e in cls.leads],
+        "is_basis": is_basis,
     }
-    entry["is_basis"] = is_basis
-    return entry
 
 
 def _render_class_line(entry: dict) -> str:
@@ -338,15 +321,21 @@ def _emit(report: dict, fmt: str, out) -> None:
     out.write("\n".join(lines) + "\n")
 
 
-def _resolve_bound_warning(polys, bound) -> tuple[int, str | None]:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", HilbertBoundWarning)
-        limit = sagbi_mod._resolve_hilbert_bound(polys, bound)
-    message = None
-    for w in caught:
-        if issubclass(w.category, HilbertBoundWarning):
-            message = str(w.message)
-    return limit, message
+def _group_entry(ring: PolynomialRing, criterion: str, group: RankGroup) -> dict:
+    entry = {"classes": [_class_entry(ring, c) for c in group]}
+    if criterion == "nicer":
+        entry["dim"], entry["degree"] = group.score
+    else:
+        entry["hilbert_vector"] = list(group.score)
+    return entry
+
+
+# the criterion each command runs; detect-sagbi takes it from --method
+COMMAND_CRITERION = {
+    "detect-gb": "buchberger",
+    "universal-gb": "buchberger",
+    "universal-sagbi": "subduction",
+}
 
 
 def run(args) -> int:
@@ -373,84 +362,51 @@ def run(args) -> int:
         ring = polys[0].ring
         report: dict = {"variables": list(ring.variables)}
         command = args.command
-        bound_warning = None
+        bound_warnings: list = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", HilbertBoundWarning)
+            show = warnings.showwarning
 
-        if command in ("detect-gb", "detect-sagbi", "classes"):
-            classes = extract_weight_vectors(polys)
+            def keep_bound_warning(message, category, *rest):
+                # other warnings are shown as they are raised, as by default
+                if issubclass(category, HilbertBoundWarning):
+                    bound_warnings.append(str(message))
+                else:
+                    show(message, category, *rest)
+
+            warnings.showwarning = keep_bound_warning
             if command == "classes":
                 report["method"] = None
-                report["classes"] = [_class_entry(ring, c) for c in classes]
-            else:
-                if command == "detect-gb":
-                    report["method"] = "buchberger"
-                    check = partial(_check_gb, polys)
-                elif args.method == "hilbert":
-                    report["method"] = "hilbert"
-                    limit, bound_warning = _resolve_bound_warning(
-                        polys, args.hilbert_bound
-                    )
-                    check = partial(_check_sagbi_hilbert, polys, limit)
-                else:
-                    report["method"] = "subduction"
-                    check = partial(_check_sagbi_subduction, polys)
-                verdicts = _map_classes(check, classes, args.jobs)
                 report["classes"] = [
-                    _class_entry(ring, c, True)
-                    for c, ok in zip(classes, verdicts)
-                    if ok
+                    _class_entry(ring, c) for c in extract_weight_vectors(polys)
                 ]
-            if bound_warning:
-                report["bound_warning"] = bound_warning
-            _emit(report, args.format, sys.stdout)
-            if command != "classes" and not report["classes"]:
-                return 1
-            return 0
-
-        if command in ("universal-gb", "universal-sagbi"):
-            classes = extract_weight_vectors(polys)
-            if command == "universal-gb":
-                report["method"] = "buchberger"
-                check = partial(_check_gb, polys)
+            elif command == "rank":
+                report["criterion"] = args.criterion
+                groups = rank_orders(polys, args.criterion, args.hilbert_bound)
+                report["groups"] = [
+                    _group_entry(ring, args.criterion, g) for g in groups
+                ]
             else:
-                report["method"] = "subduction"
-                check = partial(_check_sagbi_subduction, polys)
-            verdicts = _map_classes(check, classes, args.jobs)
-            failing = next(
-                (c for c, ok in zip(classes, verdicts) if not ok), None
-            )
-            report["universal"] = failing is None
-            report["counterexample"] = (
-                _class_entry(ring, failing, False) if failing else None
-            )
-            _emit(report, args.format, sys.stdout)
-            return 0
-
-        # rank
-        report["criterion"] = args.criterion
-        if args.criterion == "preferable":
-            limit, bound_warning = _resolve_bound_warning(polys, args.hilbert_bound)
-        groups_out = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", HilbertBoundWarning)
-            if args.criterion == "nicer":
-                groups = sagbi_mod.rank_orders(polys, "nicer")
-            else:
-                groups = sagbi_mod.rank_orders(polys, "preferable", limit)
-        for group in groups:
-            entry = {"classes": [_class_entry(ring, c) for c in group]}
-            if args.criterion == "nicer":
-                polytope = LatticePolytope(group[0].leads)
-                entry["dim"] = polytope_dim(polytope)
-                entry["degree"] = normalized_volume(polytope)
-            else:
-                entry["hilbert_vector"] = list(
-                    hilbert_vector(polys, group[0], limit).values
+                report["method"] = COMMAND_CRITERION.get(command, args.method)
+                checked = verdicts(
+                    polys, report["method"], bound=args.hilbert_bound, jobs=args.jobs
                 )
-            groups_out.append(entry)
-        report["groups"] = groups_out
-        if bound_warning:
-            report["bound_warning"] = bound_warning
+                if command.startswith("detect-"):
+                    report["classes"] = [
+                        _class_entry(ring, c, True) for c, ok in checked if ok
+                    ]
+                else:
+                    failing = next((c for c, ok in checked if not ok), None)
+                    checked.close()
+                    report["universal"] = failing is None
+                    report["counterexample"] = (
+                        _class_entry(ring, failing, False) if failing else None
+                    )
+        if bound_warnings:
+            report["bound_warning"] = bound_warnings[-1]
         _emit(report, args.format, sys.stdout)
+        if command.startswith("detect-") and not report["classes"]:
+            return 1
         return 0
     except (ParseError, ValueError) as exc:
         print("input error: %s" % exc, file=sys.stderr)

@@ -1,0 +1,140 @@
+"""Per-class detection: one criterion, run once per term-order class.
+
+Detection enumerates the term-order classes of a generator set and runs
+one criterion per class: Buchberger's S-pair criterion for Groebner bases,
+or the subduction or Hilbert-function criterion for SAGBI bases.  The
+verdict is constant on each class, so the class certificate decides it.
+``verdicts`` is the only loop over classes; the library entry points and
+the command line both go through it.
+"""
+
+from __future__ import annotations
+
+import os
+import warnings
+from collections.abc import Generator
+from functools import partial
+
+from .groebner import is_groebner_basis
+from .orders import OrderClass, extract_weight_vectors
+from .polyring import Polynomial
+from .sagbi import (
+    DEFAULT_SUBDUCTION_CAP,
+    HilbertBoundWarning,
+    _resolve_hilbert_bound,
+    is_sagbi_hilbert,
+    is_sagbi_subduction,
+)
+
+
+def _pool_size(jobs: int, nclasses: int, cpus: int | None) -> int:
+    """Worker count: never more than the CPUs or the classes to check.
+
+    Under fork, ``ProcessPoolExecutor`` starts all ``max_workers`` processes
+    up front, so an unclamped job count would fork that many at once.
+    """
+    return max(1, min(jobs, cpus or 1, nclasses))
+
+
+# per-class checks (module level so worker processes can import them)
+
+
+def _check_gb(polys: list[Polynomial], cls: OrderClass) -> bool:
+    return is_groebner_basis(polys, cls.order())
+
+
+def _check_sagbi_subduction(
+    polys: list[Polynomial], max_steps: int, cls: OrderClass
+) -> bool:
+    return is_sagbi_subduction(polys, cls, max_steps)
+
+
+def _check_sagbi_hilbert(polys: list[Polynomial], limit: int, cls: OrderClass) -> bool:
+    with warnings.catch_warnings():
+        # verdicts() has already warned once about a truncating limit
+        warnings.simplefilter("ignore", HilbertBoundWarning)
+        return is_sagbi_hilbert(polys, cls, limit)
+
+
+def _checked(check, classes: list[OrderClass], jobs: int):
+    workers = _pool_size(jobs, len(classes), os.cpu_count())
+    if workers == 1:
+        for cls in classes:
+            yield cls, check(cls)
+        return
+    # imported only here: loading multiprocessing would cost every serial
+    # run about 2 MB of peak memory
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(check, cls) for cls in classes]
+        for cls, future in zip(classes, futures):
+            yield cls, future.result()
+    finally:
+        # a caller that stops early (first counterexample) or an error
+        # leaves checks that nobody will read
+        pool.shutdown(cancel_futures=True)
+
+
+def verdicts(
+    polys: list[Polynomial],
+    criterion: str,
+    *,
+    bound: int | None = None,
+    max_steps: int = DEFAULT_SUBDUCTION_CAP,
+    jobs: int = 1,
+) -> Generator[tuple[OrderClass, bool], None, None]:
+    """``(class, verdict)`` for every term-order class, in sorted order.
+
+    ``criterion`` is 'buchberger' (Groebner basis), 'subduction' (SAGBI,
+    exact, bounded by ``max_steps`` per subduction) or 'hilbert' (SAGBI,
+    homogeneous generators, compared up to the degree limit resolved from
+    ``bound``, with a HilbertBoundWarning when that limit truncates).  The
+    arguments are validated and the classes enumerated when this is
+    called; the verdicts are computed lazily, one class per step, or by
+    up to ``jobs`` worker processes.  Checks not yet read are cancelled
+    when the iterator is closed.
+    """
+    if criterion == "buchberger":
+        check = partial(_check_gb, polys)
+    elif criterion == "subduction":
+        check = partial(_check_sagbi_subduction, polys, max_steps)
+    elif criterion == "hilbert":
+        limit = _resolve_hilbert_bound(polys, bound)
+        check = partial(_check_sagbi_hilbert, polys, limit)
+    else:
+        raise ValueError("criterion must be 'buchberger', 'subduction' or 'hilbert'")
+    return _checked(check, extract_weight_vectors(polys), jobs)
+
+
+def weight_vectors_realizing_gb(polys: list[Polynomial]) -> list[OrderClass]:
+    """Classes of term orders for which the input is a Groebner basis."""
+    return [cls for cls, ok in verdicts(polys, "buchberger") if ok]
+
+
+def is_universal_gb(polys: list[Polynomial]) -> bool:
+    """True when the set is a Groebner basis for every term order."""
+    return all(ok for _, ok in verdicts(polys, "buchberger"))
+
+
+def weight_vectors_realizing_sagbi(
+    polys: list[Polynomial],
+    method: str = "subduction",
+    bound: int | None = None,
+    max_steps: int = DEFAULT_SUBDUCTION_CAP,
+) -> list[OrderClass]:
+    """Classes of term orders for which the input is a SAGBI basis.
+
+    ``method`` is 'subduction' (default, no homogeneity needed) or
+    'hilbert' (homogeneous generators, degree-capped comparison).
+    """
+    if method not in ("subduction", "hilbert"):
+        raise ValueError("method must be 'subduction' or 'hilbert'")
+    found = verdicts(polys, method, bound=bound, max_steps=max_steps)
+    return [cls for cls, ok in found if ok]
+
+
+def is_universal_sagbi(polys: list[Polynomial]) -> bool:
+    """True when the set is a SAGBI basis for every term order."""
+    return all(ok for _, ok in verdicts(polys, "subduction"))

@@ -1,10 +1,9 @@
-"""Division, Buchberger's criterion and completion, Groebner-basis detection.
+"""Division, Buchberger's S-pair criterion and completion.
 
-The detection entry points run over the term-order equivalence classes
-produced by :mod:`basisdetect.orders`: the S-pair criterion is evaluated
-once per class, with the class certificate weight refined to a total order.
-The verdict is constant on each class, so any certificate gives the class
-answer.
+Detection over term-order classes (:mod:`basisdetect.detect`) runs the
+criterion once per class, with the class certificate weight refined to a
+total order.  The verdict is constant on each class, so any certificate
+gives the class answer.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .orders import OrderClass, extract_weight_vectors
-from .polyring import Exponent, MonomialOrder, Polynomial, TermOrder
+from .polyring import Exponent, MonomialOrder, Polynomial, check_generators
 
 
 @dataclass
@@ -96,8 +94,7 @@ def is_groebner_basis(polys: list[Polynomial], order: MonomialOrder) -> bool:
 
     Pairs with coprime leading exponents are skipped (product criterion).
     """
-    if not polys or any(f.is_zero() for f in polys):
-        raise ValueError("generators must be nonzero")
+    check_generators(polys)
     leads = [order.leading_exponent(f) for f in polys]
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
@@ -118,8 +115,7 @@ def buchberger(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial
     queue is keyed by lcm total degree then lcm, so output is deterministic.
     The final basis is inter-reduced and monic, sorted by leading exponent.
     """
-    if not polys or any(f.is_zero() for f in polys):
-        raise ValueError("generators must be nonzero")
+    check_generators(polys)
     basis = list(polys)
     leads = [order.leading_exponent(f) for f in basis]
     queue: list = []
@@ -170,20 +166,3 @@ def interreduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomia
         reduced.append(g)
     reduced.sort(key=lambda g: order.key(order.leading_exponent(g)))
     return reduced
-
-
-def weight_vectors_realizing_gb(polys: list[Polynomial]) -> list[OrderClass]:
-    """Classes of term orders for which the input is a Groebner basis."""
-    return [
-        cls
-        for cls in extract_weight_vectors(polys)
-        if is_groebner_basis(polys, TermOrder(cls.weight))
-    ]
-
-
-def is_universal_gb(polys: list[Polynomial]) -> bool:
-    """True when the set is a Groebner basis for every term order."""
-    return all(
-        is_groebner_basis(polys, TermOrder(cls.weight))
-        for cls in extract_weight_vectors(polys)
-    )

@@ -19,7 +19,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import lp
-from .polyring import Exponent, Polynomial, TermOrder, dot, normalize_weight
+from .polyring import (
+    Exponent, Polynomial, TermOrder, check_generators, dot, normalize_weight
+)
 
 LeadingTuple = tuple[Exponent, ...]
 
@@ -40,17 +42,6 @@ class OrderClass:
         return TermOrder(self.weight)
 
 
-def _check_system(polys: list[Polynomial]) -> None:
-    if not polys:
-        raise ValueError("empty polynomial list")
-    base = polys[0].ring
-    for f in polys:
-        if f.ring != base:
-            raise ValueError("polynomials belong to different rings")
-        if f.is_zero():
-            raise ValueError("zero polynomial in generator set")
-
-
 def cone_feasibility(polys: list[Polynomial], leads) -> tuple[int, ...] | None:
     """Integer weight strictly selecting the given leading tuple, or None.
 
@@ -60,7 +51,7 @@ def cone_feasibility(polys: list[Polynomial], leads) -> tuple[int, ...] | None:
     positive optimum yields an interior point, which is cleared to a
     primitive integer vector.
     """
-    _check_system(polys)
+    check_generators(polys)
     leads = tuple(tuple(e) for e in leads)
     if len(leads) != len(polys):
         raise ValueError("leading tuple length differs from polynomial count")
@@ -101,7 +92,7 @@ def extract_weight_vectors(polys: list[Polynomial]) -> list[OrderClass]:
     single-polynomial feasibility test before the Cartesian product is
     scanned.  Output is sorted by leading tuple and duplicate-free.
     """
-    _check_system(polys)
+    check_generators(polys)
     candidates = []
     for f in polys:
         exps = sorted(f.terms)

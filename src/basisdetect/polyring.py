@@ -141,15 +141,14 @@ class Polynomial:
         return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
+        """Repeated multiplication by ``self``: the largest product is
+        f^(k-1) * f, at most C(m+k-2, k-1) * m term pairs for m terms, a
+        bound the system parser checks before it takes a power."""
         if k < 0:
             raise ValueError("negative power")
         result = self.ring.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -290,18 +289,26 @@ def support(f: Polynomial) -> frozenset:
     return f.support()
 
 
+def check_generators(polys: list[Polynomial]) -> None:
+    """Reject an empty generator list, mixed rings and zero generators."""
+    if not polys:
+        raise ValueError("empty generator list")
+    base = polys[0].ring
+    for f in polys:
+        if f.ring != base:
+            raise ValueError("polynomials belong to different rings")
+        if f.is_zero():
+            raise ValueError("zero polynomial in generator set")
+
+
 def homogenize_with_t(polys: list[Polynomial]) -> list[Polynomial]:
     """Adjoin a new first variable t and return t*f for every input f.
 
     Every monomial of the output has t-degree exactly one, so the outputs
     generate a subalgebra graded by t-degree.
     """
-    if not polys:
-        raise ValueError("empty polynomial list")
+    check_generators(polys)
     base = polys[0].ring
-    for f in polys:
-        if f.ring != base:
-            raise ValueError("polynomials belong to different rings")
     if "t" in base.variables:
         raise ValueError("ring already has a variable named 't'")
     extended = PolynomialRing(("t",) + base.variables)

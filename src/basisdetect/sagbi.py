@@ -4,8 +4,9 @@ A set F is a SAGBI basis of the subalgebra it generates, for a term order,
 exactly when every S-polynomial lifted from a generating relation among
 the leading monomials subduces to zero.  This module implements that
 criterion, an alternative Hilbert-function criterion for homogeneous
-generators, the per-class detection loops, and two rankings (preferable /
-nicer) of the classes when detection fails.
+generators, and two rankings (preferable / nicer) of the classes when
+detection fails.  The per-class detection loop is in
+:mod:`basisdetect.detect`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .orders import (
     normalized_volume,
     polytope_dim,
 )
-from .polyring import MonomialOrder, Polynomial, TermOrder
+from .polyring import MonomialOrder, Polynomial, TermOrder, check_generators
 from .toric import (
     ExponentMatrix,
     relations_up_to_degree,
@@ -52,17 +53,6 @@ class SubductionResult:
 
     remainder: Polynomial
     steps: list[tuple[Fraction, tuple[int, ...]]]
-
-
-def _check_generators(polys: list[Polynomial]) -> None:
-    if not polys:
-        raise ValueError("empty generator list")
-    base = polys[0].ring
-    for f in polys:
-        if f.ring != base:
-            raise ValueError("polynomials belong to different rings")
-        if f.is_zero():
-            raise ValueError("zero polynomial in generator set")
 
 
 def _power_product(
@@ -95,7 +85,7 @@ def subduction(
     leading exponent (A = leading exponents of the generators), so the
     leading term cancels exactly and strictly decreases in the order.
     """
-    _check_generators(polys)
+    check_generators(polys)
     if f.ring != polys[0].ring:
         raise ValueError("polynomial ring differs from generator ring")
     leads = [order.leading_term(g) for g in polys]
@@ -160,7 +150,7 @@ def _sagbi_failure_witness(
     basis property, so cheap low-degree relations are tried before the
     full elimination-based generating set is computed.
     """
-    _check_generators(polys)
+    check_generators(polys)
     order = _certified_order(polys, cls)
     matrix = ExponentMatrix(cls.leads)
     lead_coeffs = [f.terms[exp] for f, exp in zip(polys, cls.leads)]
@@ -211,11 +201,11 @@ class HilbertVector:
 
 
 def _require_homogeneous(polys: list[Polynomial]) -> None:
-    for f in polys:
+    for i, f in enumerate(polys, 1):
         if not f.is_homogeneous():
             raise ValueError(
-                "this operation needs homogeneous generators; "
-                "homogenize_with_t provides a grading"
+                "generator %d is not homogeneous; Hilbert functions need "
+                "homogeneous generators" % i
             )
 
 
@@ -284,6 +274,14 @@ def _positive_degree_parts(polys, leads=None):
 
 
 def _resolve_hilbert_bound(polys: list[Polynomial], bound: int | None) -> int:
+    """Degree limit of a Hilbert comparison of homogeneous generators.
+
+    The exact criterion needs degree s^2 * d^(n+1); the limit is ``bound``
+    (DEFAULT_HILBERT_BOUND when None) when that is lower, with a
+    HilbertBoundWarning.
+    """
+    check_generators(polys)
+    _require_homogeneous(polys)
     s = len(polys)
     n = polys[0].ring.nvars
     d = max(1, max(f.total_degree() for f in polys))
@@ -329,10 +327,8 @@ def is_sagbi_hilbert(
     Exact up to degree s^2 * d^(n+1); with the default cap the verdict is
     'true up to the cap' and a HilbertBoundWarning is issued.
     """
-    _check_generators(polys)
-    _require_homogeneous(polys)
-    _certified_order(polys, cls)
     limit = _resolve_hilbert_bound(polys, bound)
+    _certified_order(polys, cls)
     kept, kept_leads, degrees = _positive_degree_parts(polys, cls.leads)
     if not kept:
         return True
@@ -350,7 +346,7 @@ def hilbert_vector(
     polys: list[Polynomial], cls: OrderClass, bound: int
 ) -> HilbertVector:
     """Hilbert function of the leading-monomial algebra, degrees 1..bound."""
-    _check_generators(polys)
+    check_generators(polys)
     _require_homogeneous(polys)
     _certified_order(polys, cls)
     _, kept_leads, degrees = _positive_degree_parts(polys, cls.leads)
@@ -366,43 +362,26 @@ def hilbert_vector(
 
 
 # ---------------------------------------------------------------------------
-# detection loops and rankings
+# rankings
 
 
-def weight_vectors_realizing_sagbi(
-    polys: list[Polynomial],
-    method: str = "subduction",
-    bound: int | None = None,
-    max_steps: int = DEFAULT_SUBDUCTION_CAP,
-) -> list[OrderClass]:
-    """Classes of term orders for which the input is a SAGBI basis.
+class RankGroup(list):
+    """Classes tied under a ranking criterion, with their shared score.
 
-    ``method`` is 'subduction' (default, no homogeneity needed) or
-    'hilbert' (homogeneous generators, degree-capped comparison).
+    ``score`` is the (dimension, normalized volume) pair for 'nicer' and
+    the Hilbert vector values for 'preferable'.
     """
-    if method not in ("subduction", "hilbert"):
-        raise ValueError("method must be 'subduction' or 'hilbert'")
-    classes = extract_weight_vectors(polys)
-    if method == "hilbert":
-        _require_homogeneous(polys)
-        return [cls for cls in classes if is_sagbi_hilbert(polys, cls, bound)]
-    return [
-        cls for cls in classes if is_sagbi_subduction(polys, cls, max_steps)
-    ]
 
-
-def is_universal_sagbi(polys: list[Polynomial]) -> bool:
-    """True when the set is a SAGBI basis for every term order."""
-    return all(
-        is_sagbi_subduction(polys, cls) for cls in extract_weight_vectors(polys)
-    )
+    def __init__(self, score, classes=()):
+        super().__init__(classes)
+        self.score = score
 
 
 def rank_orders(
     polys: list[Polynomial],
     criterion: str = "nicer",
     bound: int | None = None,
-) -> list[list[OrderClass]]:
+) -> list[RankGroup]:
     """Rank all term-order classes, best first, as groups of ties.
 
     'nicer' compares (dimension, normalized volume) of the convex hull of
@@ -412,25 +391,21 @@ def rank_orders(
     """
     if criterion not in ("nicer", "preferable"):
         raise ValueError("criterion must be 'nicer' or 'preferable'")
-    classes = extract_weight_vectors(polys)
     if criterion == "nicer":
         def score(cls: OrderClass):
             polytope = LatticePolytope(cls.leads)
             return (polytope_dim(polytope), normalized_volume(polytope))
     else:
-        _require_homogeneous(polys)
         limit = _resolve_hilbert_bound(polys, bound)
 
         def score(cls: OrderClass):
             return hilbert_vector(polys, cls, limit).values
 
-    scored = [(score(cls), cls) for cls in classes]
+    scored = [(score(cls), cls) for cls in extract_weight_vectors(polys)]
     scored.sort(key=lambda item: item[0], reverse=True)
-    groups: list[list[OrderClass]] = []
-    last_score = None
+    groups: list[RankGroup] = []
     for value, cls in scored:
-        if value != last_score:
-            groups.append([])
-            last_score = value
+        if not groups or value != groups[-1].score:
+            groups.append(RankGroup(value))
         groups[-1].append(cls)
     return groups

@@ -2,11 +2,14 @@
 
 import io
 import json
+import time
+import warnings
 
 import pytest
 
-from basisdetect import cli
-from basisdetect.cli import ParseError, main, parse_system
+from basisdetect import detect, extract_weight_vectors, is_sagbi_subduction, sagbi
+from basisdetect import Polynomial, cli
+from basisdetect.cli import MAX_TERMS, ParseError, main, parse_system
 from basisdetect.sagbi import SubductionLimitError
 
 import systems
@@ -344,16 +347,19 @@ def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
     ],
 )
 def test_pool_size_clamped_to_cpus_and_classes(jobs, nclasses, cpus, expected):
-    assert cli._pool_size(jobs, nclasses, cpus) == expected
+    assert detect._pool_size(jobs, nclasses, cpus) == expected
 
 
 def test_map_classes_runs_serially_when_clamped_to_one(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("no process pool expected")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    assert cli._map_classes(lambda c: c > 1, [1, 2, 3], 5000) == [
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(detect.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(detect, "extract_weight_vectors", lambda polys: [1, 2, 3])
+    monkeypatch.setattr(detect, "_check_gb", lambda polys, cls: cls > 1)
+    checked = detect.verdicts(systems.twisted_cubic(), "buchberger", jobs=5000)
+    assert [ok for _, ok in checked] == [
         False,
         True,
         True,
@@ -375,9 +381,112 @@ def test_limit_failures_exit_2_with_one_line(
     def failing(*args):
         raise error
 
-    monkeypatch.setattr(cli, check, failing)
+    monkeypatch.setattr(detect, check, failing)
     path = write_system(tmp_path, systems.twisted_cubic())
     code, out, err = run_cli(capsys, command, "--input", path)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("limit error: ")
+
+
+def test_universal_stops_at_first_failing_class(tmp_path, capsys, monkeypatch):
+    F = systems.non_sagbi_trio()
+    classes = extract_weight_vectors(F)
+    first_failure = next(
+        i for i, cls in enumerate(classes) if not is_sagbi_subduction(F, cls)
+    )
+    assert first_failure + 1 < len(classes)
+    checked = []
+
+    def counting(polys, cls, max_steps):
+        checked.append(cls)
+        return is_sagbi_subduction(polys, cls, max_steps)
+
+    monkeypatch.setattr(detect, "is_sagbi_subduction", counting)
+    path = write_system(tmp_path, F)
+    reports = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(
+            capsys, "universal-sagbi", "--input", path, "--jobs", jobs,
+            "--format", "json",
+        )
+        assert code == 0
+        reports.append(json.loads(out))
+        if jobs == "1":
+            assert checked == classes[: first_failure + 1]
+    assert reports[0] == reports[1]
+    assert reports[0]["universal"] is False
+    assert reports[0]["counterexample"]["weight"] == list(
+        classes[first_failure].weight
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rank", "--criterion", "preferable"),
+        ("detect-sagbi", "--method", "hilbert"),
+    ],
+)
+def test_hilbert_rejects_non_homogeneous_before_enumeration(
+    tmp_path, capsys, monkeypatch, argv
+):
+    def no_enumeration(polys):
+        raise AssertionError("classes enumerated before the homogeneity check")
+
+    monkeypatch.setattr(detect, "extract_weight_vectors", no_enumeration)
+    monkeypatch.setattr(sagbi, "extract_weight_vectors", no_enumeration)
+    # t*f is homogeneous only when f is: x^2 + y^2 - 1 is not
+    path = write_system(tmp_path, systems.unit_circle_pair())
+    code, out, err = run_cli(capsys, *argv, "--input", path, "--homogenize-t")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("input error: generator 1 is not homogeneous")
+    assert "homogenize" not in err
+
+
+@pytest.mark.parametrize(
+    "expression", ["(x+y)^100000", "(x+y)^3000", "(a+b+c+d+e+f)^40"]
+)
+def test_oversized_expressions_exit_2_at_once(capsys, monkeypatch, expression):
+    text = "ring: a, b, c, d, e, f, x, y\npolys:\n%s\n" % expression
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classes", "--input", "-")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("input error: line 3, column ")
+
+
+def test_power_stays_within_term_cap(monkeypatch):
+    # (a+...+f)^9 is the largest accepted power of six terms: its last
+    # multiplication pairs 1287 * 6 terms, while squaring f^4 would pair
+    # 126 * 126 > MAX_TERMS
+    pairs = []
+    multiply = Polynomial.__mul__
+
+    def counting(self, other):
+        pairs.append(len(self.terms) * len(other.terms))
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    system, polys = parse_system("ring: a, b, c, d, e, f\npolys:\n(a+b+c+d+e+f)^9\n")
+    assert len(polys[0].terms) == 2002
+    assert max(pairs) <= MAX_TERMS
+    with pytest.raises(ParseError, match="column 14"):
+        parse_system("ring: a, b, c, d, e, f\npolys:\n(a+b+c+d+e+f)^10\n")
+
+
+def test_other_warnings_shown_when_the_run_fails(capsys, monkeypatch, tmp_path):
+    def warn_then_fail(polys):
+        warnings.warn("enumeration note", UserWarning)
+        raise ValueError("bad system")
+
+    monkeypatch.setattr(cli, "extract_weight_vectors", warn_then_fail)
+    path = write_system(tmp_path, systems.twisted_cubic())
+    with pytest.warns(UserWarning, match="enumeration note"):
+        code, out, err = run_cli(capsys, "classes", "--input", path)
+    assert code == 2
+    assert err == "input error: bad system\n"

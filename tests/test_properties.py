@@ -4,7 +4,8 @@ Instance counts follow the acceptance checklist: 500 division identities,
 200 subduction reconstructions, 100 toric vanishing checks, 50 toric
 completeness checks, 50 enumeration completeness checks, plus the
 cross-oracle agreement of the two SAGBI criteria on every homogeneous
-benchmark system.
+benchmark system, and the constancy of the Groebner and SAGBI verdicts
+across several weights of each class.
 """
 
 import itertools
@@ -17,13 +18,16 @@ import pytest
 from basisdetect import (
     ExponentMatrix,
     HilbertBoundWarning,
+    OrderClass,
     Polynomial,
     TermOrder,
     buchberger,
     extract_weight_vectors,
     initial_form,
     initial_term,
+    is_groebner_basis,
     is_sagbi_hilbert,
+    is_sagbi_subduction,
     leading_tuple,
     normal_form,
     ring,
@@ -31,6 +35,7 @@ from basisdetect import (
     subduction,
     toric_ideal_generators,
 )
+from basisdetect.polyring import dot
 from basisdetect.sagbi import _power_product, _sagbi_failure_witness
 
 import systems
@@ -215,6 +220,41 @@ def test_extract_weight_vectors_complete_50_systems():
             weight = tuple(rng.randint(1, 40) for _ in range(nvars))
             observed = leading_tuple(polys, TermOrder(weight))
             assert observed in enumerated
+
+
+def test_verdict_constant_on_each_class():
+    # Per-class detection checks one weight per class; this is sound only
+    # when every weight selecting the same leading tuple gets the same
+    # Groebner and SAGBI (subduction) verdict.
+    rng = random.Random(20240912)
+    with_alternates = 0
+    for _ in range(40):
+        nvars = rng.randint(2, 3)
+        polys = [
+            random_polynomial(rng, nvars, max_degree=2, max_terms=3)
+            for _ in range(rng.randint(2, 3))
+        ]
+        for cls in extract_weight_vectors(polys):
+            selecting = [
+                weight
+                for weight in itertools.product(range(5), repeat=nvars)
+                if any(weight)
+                and all(
+                    dot(weight, lead) > dot(weight, u)
+                    for f, lead in zip(polys, cls.leads)
+                    for u in f.terms
+                    if u != lead
+                )
+            ]
+            weights = [cls.weight] + rng.sample(selecting, min(3, len(selecting)))
+            with_alternates += len(weights) > 1
+            gb = {is_groebner_basis(polys, TermOrder(w)) for w in weights}
+            sagbi = {
+                is_sagbi_subduction(polys, OrderClass(cls.leads, w))
+                for w in weights
+            }
+            assert len(gb) == 1 and len(sagbi) == 1, (polys, cls, weights)
+    assert with_alternates >= 50
 
 
 def test_buchberger_output_passes_criterion_50():

@@ -239,6 +239,7 @@ def test_rank_orders_nicer_two_cones():
     )
     assert green_sig > red_sig
     assert groups[0][0].leads == green.leads
+    assert [group.score for group in groups] == [green_sig, red_sig]
 
 
 def test_rank_orders_preferable_puts_sagbi_class_first():
@@ -247,6 +248,10 @@ def test_rank_orders_preferable_puts_sagbi_class_first():
         warnings.simplefilter("ignore", HilbertBoundWarning)
         groups = rank_orders(F, "preferable", bound=6)
     assert groups[0][0].leads == green.leads
+    assert [group.score for group in groups] == [
+        hilbert_vector(F, group[0], 6).values for group in groups
+    ]
+    assert groups[0].score > groups[1].score
 
 
 def test_rank_orders_single_class():
@@ -254,11 +259,21 @@ def test_rank_orders_single_class():
     F = [R.variable("x") * R.variable("y")]
     groups = rank_orders(F, "nicer")
     assert len(groups) == 1 and len(groups[0]) == 1
+    assert groups[0].score == (0, 1)
 
 
 def test_rank_orders_depends_only_on_leading_tuple():
     F = systems.elementary_symmetric()
     groups = rank_orders(F, "nicer")
+    for group in groups:
+        for cls in group:
+            polytope = LatticePolytope(cls.leads)
+            assert group.score == (
+                polytope_dim(polytope),
+                normalized_volume(polytope),
+            )
+    scores = [group.score for group in groups]
+    assert scores == sorted(set(scores), reverse=True)
     # replace every certificate with an independently found small weight
     # selecting the same tuple; grouping must not change
     def regroup(alternates):
