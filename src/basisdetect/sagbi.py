@@ -210,23 +210,26 @@ def _require_homogeneous(polys: list[Polynomial]) -> None:
 
 
 def _graded_multiplicities(degrees: list[int], total: int):
-    """All nonnegative integer vectors v with sum(v_i * degrees_i) = total."""
+    """All nonnegative integer vectors v with sum(v_i * degrees_i) = total,
+    in decreasing lexicographic order."""
     out: list[tuple[int, ...]] = []
-    v = [0] * len(degrees)
-
-    def walk(i: int, rest: int) -> None:
-        if i == len(degrees):
-            if rest == 0:
-                out.append(tuple(v))
-            return
-        d = degrees[i]
-        for k in range(rest // d, -1, -1):
-            v[i] = k
-            walk(i + 1, rest - k * d)
-        v[i] = 0
-
-    walk(0, total)
+    _walk_multiplicities(degrees, 0, total, [0] * len(degrees), out)
     return out
+
+
+def _walk_multiplicities(degrees, i: int, rest: int, v: list, out: list) -> None:
+    # module level rather than nested: a nested recursive helper refers to
+    # itself through its closure, a cycle that keeps ``out`` alive until
+    # the next full garbage collection
+    if i == len(degrees):
+        if rest == 0:
+            out.append(tuple(v))
+        return
+    d = degrees[i]
+    for k in range(rest // d, -1, -1):
+        v[i] = k
+        _walk_multiplicities(degrees, i + 1, rest - k * d, v, out)
+    v[i] = 0
 
 
 def _rank_of_polynomials(polys: list[Polynomial]) -> int:

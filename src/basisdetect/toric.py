@@ -4,7 +4,11 @@ Given the leading exponents alpha_1..alpha_s (columns of a nonnegative
 integer matrix A), the relation ideal consists of all polynomials P in
 y_1..y_s with P(x^alpha_1, ..., x^alpha_s) = 0.  It is generated by
 binomials y^u - y^v with A u = A v; a generating set is computed by
-eliminating the x-variables from <y_i - x^alpha_i> with a block order.
+eliminating the x-variables from <y_i - x^alpha_i> with a block order
+(Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 4).  Every
+polynomial in that computation is a binomial with coefficients 1 and -1,
+so the Buchberger algorithm here works on pairs of exponent vectors only,
+with the product and chain criteria to skip pairs.
 
 ``solve_monomial_membership`` decides whether a monomial x^b lies in the
 multiplicative monoid generated by the x^alpha_i, i.e. solves A v = b over
@@ -13,10 +17,10 @@ nonnegative integers by bounded depth-first search.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from .groebner import buchberger
-from .polyring import Exponent, MonomialOrder, Polynomial, PolynomialRing
+from .polyring import Exponent
 
 
 @dataclass(frozen=True)
@@ -61,60 +65,188 @@ class ToricBinomial:
     v: tuple[int, ...]
 
 
-class _EliminationOrder(MonomialOrder):
-    """Block order: x-block dominates y-block, graded-lex inside each."""
+def _grlex_key(e) -> tuple:
+    return (sum(e), e)
+
+
+# The binomial engine below stores a monomial x^a y^b (n x-variables) as
+# the flat tuple (|a|, a_1..a_n, |b|, b_1..b_s).  Plain tuple comparison is
+# then the x-eliminating block order (graded-lex on x, then graded-lex on
+# y), and a monomial divides another exactly when it is entrywise smaller.
+# Shifts a - l + t keep both block degrees correct because they are linear;
+# the lcm is not, so it recomputes them.
+
+
+def _flat(x, y) -> tuple:
+    return (sum(x), *x, sum(y), *y)
+
+
+def _support(e) -> int:
+    """Bit k set when entry k is nonzero: a monomial can divide another only
+    when its support mask lies inside the other's."""
+    mask = 0
+    for k, p in enumerate(e):
+        if p:
+            mask |= 1 << k
+    return mask
+
+
+def _lcm(a, b, nx: int) -> tuple:
+    m = [p if p >= q else q for p, q in zip(a, b)]
+    m[0] = sum(m[1 : nx + 1])
+    m[nx + 1] = sum(m[nx + 2 :])
+    return tuple(m)
+
+
+def _divides(a, b) -> bool:
+    return all(p <= q for p, q in zip(a, b))
+
+
+def _shift(a, lead, tail) -> tuple:
+    """The monomial a / x^lead * x^tail (lead must divide a)."""
+    return tuple(p - q + r for p, q, r in zip(a, lead, tail))
+
+
+class _BinomialBasis:
+    """A growing Groebner basis of binomials x^lead - x^tail, with the queue
+    of its S-pairs that are still to be treated.
+
+    Pairs are taken by total degree of the lcm, then smallest lcm, and
+    skipped by the product criterion (coprime leads, never queued) and
+    Buchberger's chain criterion.
+    """
 
     def __init__(self, nx: int):
         self.nx = nx
+        self.leads: list[tuple] = []
+        self.tails: list[tuple] = []
+        self.masks: list[int] = []
+        self.queue: list = []
+        self.pending: set = set()
 
-    def key(self, exponent: Exponent):
-        x = exponent[: self.nx]
-        y = exponent[self.nx :]
-        return (sum(x), x, sum(y), y)
+    def add(self, lead, tail) -> None:
+        """Append x^lead - x^tail and queue its pairs whose leads share a
+        variable."""
+        nx, leads, masks = self.nx, self.leads, self.masks
+        j = len(leads)
+        leads.append(lead)
+        self.tails.append(tail)
+        masks.append(_support(lead))
+        variables = ~(1 | 1 << (nx + 1))  # all but the two degree entries
+        for i in range(j):
+            if masks[i] & masks[j] & variables:
+                m = _lcm(leads[i], lead, nx)
+                heapq.heappush(self.queue, (m[0] + m[nx + 1], m, i, j))
+                self.pending.add((i, j))
+
+    def redundant(self, i: int, j: int, m) -> bool:
+        """Chain criterion: a third lead divides m = lcm(l_i, l_j) while its
+        pairs with i and with j are no longer pending."""
+        pending = self.pending
+        outside = ~(self.masks[i] | self.masks[j])
+        for k, mask in enumerate(self.masks):
+            if (
+                not mask & outside
+                and k != i
+                and k != j
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+                and _divides(self.leads[k], m)
+            ):
+                return True
+        return False
+
+    def reduce(self, a, b):
+        """Top-reduce x^a - x^b until no basis lead divides its lead: the
+        result as (lead, tail), or None when it becomes zero."""
+        while a != b:
+            if a < b:
+                a, b = b, a
+            ma = _support(a)
+            for lead, tail, mask in zip(self.leads, self.tails, self.masks):
+                if not mask & ~ma and _divides(lead, a):
+                    a = _shift(a, lead, tail)
+                    break
+            else:
+                return a, b
+        return None
 
 
-def _grlex_key(e) -> tuple:
-    return (sum(e), e)
+def _binomial_groebner(gens, nx: int) -> list[tuple[tuple, tuple]]:
+    """The reduced Groebner basis elements free of x, as (lead, tail) pairs
+    sorted by lead.
+
+    Buchberger on binomials x^lead - x^tail, whose coefficients are 1 and
+    -1 throughout: the S-pair of two elements is x^(m - l_j + t_j) -
+    x^(m - l_i + t_i) with m the lcm of their leads, and reduction only
+    shifts exponents.
+    """
+    basis = _BinomialBasis(nx)
+    for lead, tail in gens:
+        basis.add(lead, tail)
+    while basis.queue:
+        _, m, i, j = heapq.heappop(basis.queue)
+        basis.pending.discard((i, j))
+        if basis.redundant(i, j, m):
+            continue
+        reduced = basis.reduce(
+            _shift(m, basis.leads[j], basis.tails[j]),
+            _shift(m, basis.leads[i], basis.tails[i]),
+        )
+        if reduced is not None:
+            basis.add(*reduced)
+    return _interreduce_x_free(basis.leads, basis.tails)
+
+
+def _interreduce_x_free(leads, tails) -> list[tuple[tuple, tuple]]:
+    """Keep the x-free elements with minimal leads, then fully reduce each
+    tail by the other leads.  An x-free lead has an x-free tail, because
+    the order compares x-degrees first, so only these leads matter."""
+    minimal: list[tuple] = []
+    minimal_tails: list[tuple] = []
+    for lead, tail in sorted(
+        (lead, tail) for lead, tail in zip(leads, tails) if lead[0] == 0
+    ):
+        if not any(_divides(kept, lead) for kept in minimal):
+            minimal.append(lead)
+            minimal_tails.append(tail)
+    out = []
+    for lead, tail in zip(minimal, minimal_tails):
+        while True:
+            for other, other_tail in zip(minimal, minimal_tails):
+                if _divides(other, tail):
+                    tail = _shift(tail, other, other_tail)
+                    break
+            else:
+                break
+        out.append((lead, tail))
+    return out
 
 
 def toric_ideal_generators(matrix: ExponentMatrix) -> list[ToricBinomial]:
     """A finite binomial generating set of the relation ideal of A.
 
-    Runs Buchberger on <y_i - x^alpha_i> under an x-eliminating block
-    order and keeps the basis elements free of x-variables.  The output is
-    a Groebner basis of the relation ideal, hence in particular a
-    generating set; binomials are oriented with y^u the graded-lex lead.
+    The reduced Groebner basis of the relation ideal, obtained by
+    eliminating the x-variables from <y_i - x^alpha_i> under a block order
+    with a binomial Buchberger on exponent vectors (no coefficients).
+    Binomials are oriented with y^u the graded-lex lead and sorted by u
+    in graded-lex order (no two share a lead); every one carries the
+    certificate A u = A v.
     """
     n, s = matrix.nrows, matrix.ncols
-    ring = PolynomialRing(
-        tuple("x%d" % (i + 1) for i in range(n))
-        + tuple("y%d" % (i + 1) for i in range(s))
-    )
+    zero_x = (0,) * n
     gens = []
     for i, col in enumerate(matrix.columns):
-        yexp = (0,) * n + tuple(1 if j == i else 0 for j in range(s))
-        xexp = col + (0,) * s
-        gens.append(Polynomial(ring, {yexp: 1, xexp: -1}))
-    order = _EliminationOrder(n)
+        y = _flat(zero_x, tuple(1 if j == i else 0 for j in range(s)))
+        x = _flat(col, (0,) * s)
+        gens.append((y, x) if y > x else (x, y))
     out = []
-    for g in buchberger(gens, order):
-        exps = list(g.terms)
-        if any(e[j] for e in exps for j in range(n)):
-            continue
-        if len(exps) != 2:
-            raise AssertionError("non-binomial element in toric elimination")
-        coeffs = sorted(g.terms.values())
-        if coeffs != [-1, 1]:
-            raise AssertionError("non-unimodular binomial coefficients")
-        first, second = (e[n:] for e in sorted(exps, key=_grlex_key, reverse=True))
-        common = tuple(min(a, b) for a, b in zip(first, second))
-        u = tuple(a - c for a, c in zip(first, common))
-        v = tuple(b - c for b, c in zip(second, common))
+    for lead, tail in _binomial_groebner(gens, n):
+        u, v = lead[n + 2 :], tail[n + 2 :]
         if matrix.apply(u) != matrix.apply(v):
             raise AssertionError("elimination produced a non-relation")
         out.append(ToricBinomial(u, v))
-    unique = sorted(set(out), key=lambda b: (_grlex_key(b.u), _grlex_key(b.v)))
-    return unique
+    return out
 
 
 def relations_up_to_degree(matrix: ExponentMatrix, max_degree: int) -> list[ToricBinomial]:
@@ -128,19 +260,16 @@ def relations_up_to_degree(matrix: ExponentMatrix, max_degree: int) -> list[Tori
     s = matrix.ncols
     groups: dict = {}
     out = []
-    multisets: list[tuple[int, ...]] = []
-
-    def extend(base, start, size):
-        multisets.append(base)
-        if size == max_degree:
-            return
-        for i in range(start, s):
-            bumped = list(base)
-            bumped[i] += 1
-            extend(tuple(bumped), i, size + 1)
-
-    extend((0,) * s, 0, 0)
-    for u in multisets:
+    # depth-first over multisets of size <= max_degree, each one extended
+    # only at positions >= the last one it bumped
+    stack = [((0,) * s, 0, 0)]
+    while stack:
+        u, start, size = stack.pop()
+        if size < max_degree:
+            for i in range(s - 1, start - 1, -1):
+                bumped = list(u)
+                bumped[i] += 1
+                stack.append((tuple(bumped), i, size + 1))
         if not any(u):
             continue
         key = matrix.apply(u)
@@ -180,27 +309,33 @@ def solve_monomial_membership(matrix: ExponentMatrix, target) -> tuple[int, ...]
         coverage[k] = mask
 
     solution = [0] * s
-
-    def search(k: int, residual: tuple[int, ...]) -> bool:
-        if all(x == 0 for x in residual):
-            return True
-        if k == s:
-            return False
-        mask = coverage[k]
-        if any(x and not (mask >> r) & 1 for r, x in enumerate(residual)):
-            return False
-        col = matrix.columns[cols[k]]
-        if all(a == 0 for a in col):
-            return search(k + 1, residual)
-        bound = min(x // a for x, a in zip(residual, col) if a)
-        for value in range(bound, -1, -1):
-            nxt = tuple(x - value * a for x, a in zip(residual, col))
-            solution[cols[k]] = value
-            if search(k + 1, nxt):
-                return True
-        solution[cols[k]] = 0
-        return False
-
-    if search(0, b):
+    if _search(matrix.columns, cols, coverage, solution, 0, b):
         return tuple(solution)
     return None
+
+
+def _search(columns, cols, coverage, solution, k: int, residual) -> bool:
+    """Assign multiplicities to the columns cols[k:] so that they sum to
+    the residual, writing them into ``solution``; False when impossible.
+
+    Module level rather than nested: a nested recursive helper refers to
+    itself through its closure, a cycle that outlives every call.
+    """
+    if all(x == 0 for x in residual):
+        return True
+    if k == len(cols):
+        return False
+    mask = coverage[k]
+    if any(x and not (mask >> r) & 1 for r, x in enumerate(residual)):
+        return False
+    col = columns[cols[k]]
+    if all(a == 0 for a in col):
+        return _search(columns, cols, coverage, solution, k + 1, residual)
+    bound = min(x // a for x, a in zip(residual, col) if a)
+    for value in range(bound, -1, -1):
+        nxt = tuple(x - value * a for x, a in zip(residual, col))
+        solution[cols[k]] = value
+        if _search(columns, cols, coverage, solution, k + 1, nxt):
+            return True
+    solution[cols[k]] = 0
+    return False

@@ -58,16 +58,28 @@ def gaussian_ci():
     return [s13, s12 * s23 - s22 * s13]
 
 
-def grassmannian_2_4():
-    names = ["x1%d" % j for j in range(1, 5)] + ["x2%d" % j for j in range(1, 5)]
+def _pluecker_minors(n):
+    """The 2x2 minors of a generic 2 x n matrix, columns i < j in order."""
+    names = ["x1%d" % j for j in range(1, n + 1)] + [
+        "x2%d" % j for j in range(1, n + 1)
+    ]
     R = ring(*names)
     minors = []
-    for i, j in combinations(range(1, 5), 2):
+    for i, j in combinations(range(1, n + 1), 2):
         minors.append(
             R.variable("x1%d" % i) * R.variable("x2%d" % j)
             - R.variable("x1%d" % j) * R.variable("x2%d" % i)
         )
     return minors
+
+
+def grassmannian_2_4():
+    return _pluecker_minors(4)
+
+
+def grassmannian_2_5():
+    """The 10 Pluecker minors of a generic 2x5 matrix (Gr(2,5))."""
+    return _pluecker_minors(5)
 
 
 def minors_2x2_of_3x3():

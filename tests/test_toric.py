@@ -1,5 +1,7 @@
 """Tests for the relation ideal and nonnegative integer membership."""
 
+import gc
+
 import pytest
 
 from basisdetect import (
@@ -12,6 +14,7 @@ from basisdetect import (
     solve_monomial_membership,
     toric_ideal_generators,
 )
+from basisdetect.sagbi import _graded_multiplicities
 from basisdetect.toric import relations_up_to_degree
 
 
@@ -133,3 +136,37 @@ def test_generators_generate_low_degree_relations():
         if rel.is_zero():
             continue
         assert normal_form(rel, basis, order).remainder.is_zero()
+
+
+_CYCLE_FREE_CALLS = {
+    "graded_multiplicities": lambda: _graded_multiplicities([1, 2, 1], 4),
+    "relations_up_to_degree": lambda: relations_up_to_degree(
+        ExponentMatrix([(2, 0), (1, 1), (0, 2), (3, 1)]), 3
+    ),
+    "membership_found": lambda: solve_monomial_membership(
+        ExponentMatrix([(2, 0), (1, 1), (0, 2)]), (5, 5)
+    ),
+    "membership_refuted": lambda: solve_monomial_membership(
+        ExponentMatrix([(2, 0), (0, 2)]), (3, 1)
+    ),
+    "toric_ideal_generators": lambda: toric_ideal_generators(
+        ExponentMatrix([(2, 0), (1, 1), (0, 2), (3, 1)])
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call", _CYCLE_FREE_CALLS.values(), ids=_CYCLE_FREE_CALLS.keys()
+)
+def test_results_freed_without_garbage_collector(call):
+    # a call that leaves a reference cycle keeps its objects alive until
+    # the next full collection; these must be freed by reference counting
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
