@@ -340,12 +340,14 @@ COMMAND_CRITERION = {
 
 def run(args) -> int:
     """Execute one parsed command line; returns the process exit code."""
-    if args.jobs < 1:
-        print(
-            "option error: --jobs must be at least 1, got %d" % args.jobs,
-            file=sys.stderr,
-        )
-        return 2
+    options = (("--jobs", args.jobs), ("--hilbert-bound", args.hilbert_bound))
+    for option, value in options:
+        if value is not None and value < 1:
+            print(
+                "option error: %s must be at least 1, got %d" % (option, value),
+                file=sys.stderr,
+            )
+            return 2
     if args.input == "-":
         text = sys.stdin.read()
     else:

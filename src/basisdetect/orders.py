@@ -8,19 +8,20 @@ tuples and certify each with an exact LP that either produces an interior
 integer weight or proves the cone empty.
 
 Also provides lattice-polytope dimension and normalized volume, used for
-ranking term orders by the geometry of their leading exponents.
+ranking term orders by the geometry of their leading exponents.  The volume
+is measured in the lattice the points span, as the sum of |det| over a
+placing (beneath-beyond) triangulation, in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import lp
 from .polyring import (
-    Exponent, Polynomial, TermOrder, check_generators, dot, normalize_weight
+    Exponent, Polynomial, TermOrder, check_generators, normalize_weight
 )
 
 LeadingTuple = tuple[Exponent, ...]
@@ -205,85 +206,60 @@ def _det(rows: list) -> int:
     return sign * a[-1][-1]
 
 
-def _primitive_normal(edge_rows: list, dim: int) -> tuple[int, ...] | None:
-    """Primitive integer normal of the hyperplane spanned by the rows.
+def _oriented_facet(points: list, facet: tuple[int, ...], apex: int):
+    """Edge rows of a facet from facet[0], and the determinant that its
+    simplex with ``apex`` gives them."""
+    base = points[facet[0]]
+    rows = [_sub(points[i], base) for i in facet[1:]]
+    return rows, _det(rows + [_sub(points[apex], base)])
 
-    Returns None unless the rows span a space of dimension exactly dim - 1.
+
+def _placing_volume(points: list[tuple[int, ...]]) -> int:
+    """Sum of |det| over a placing triangulation of a full-dimensional hull.
+
+    A start simplex is chosen greedily by rank.  Every boundary facet (a
+    sorted index tuple) is stored with its edge rows and the determinant
+    its own simplex gives them; a later point is beyond the facet when its determinant has the
+    opposite nonzero sign, and the simplex it spans with the facet adds
+    |det|.  The horizon ridges, those in exactly one visible facet, are
+    joined to the point as new facets.  Every placing order triangulates
+    the hull, so the sum does not depend on the order of the points.
     """
-    rows = [[Fraction(x) for x in row] for row in edge_rows]
-    pivots = {}
-    for row in rows:
-        for col in pivots:
-            if row[col]:
-                factor = row[col] / pivots[col][col]
-                row[:] = [a - factor * b for a, b in zip(row, pivots[col])]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is not None:
-            pivots[lead] = row
-    if len(pivots) != dim - 1:
-        return None
-    free = next(j for j in range(dim) if j not in pivots)
-    normal = [Fraction(0)] * dim
-    normal[free] = Fraction(1)
-    for col in sorted(pivots, reverse=True):
-        row = pivots[col]
-        normal[col] = -sum(row[j] * normal[j] for j in range(col + 1, dim)) / row[col]
-    denom = lcm(*(x.denominator for x in normal))
-    ints = [int(x * denom) for x in normal]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
-
-
-def _triangulate_hull(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Triangulation (as index tuples) of a full-dimensional hull.
-
-    Facet hyperplanes are found by scanning point subsets, so this is meant
-    for the small configurations arising from leading-exponent polytopes.
-    """
-    m = len(points)
-    dim = len(points[0])
-    if dim == 1:
-        imin = min(range(m), key=lambda i: points[i])
-        imax = max(range(m), key=lambda i: points[i])
-        return [(imin, imax)]
+    start = [0]
+    edges: list = []
+    for i in range(1, len(points)):
+        edge = _sub(points[i], points[0])
+        if len(_hermite_basis(edges + [edge])) > len(edges):
+            start.append(i)
+            edges.append(edge)
+    total = abs(_det(edges))
     facets = {}
-    for subset in itertools.combinations(range(m), dim):
-        base = points[subset[0]]
-        normal = _primitive_normal(
-            [_sub(points[i], base) for i in subset[1:]], dim
-        )
-        if normal is None:
+    for apex in start:
+        facet = tuple(i for i in start if i != apex)
+        facets[facet] = _oriented_facet(points, facet, apex)
+    placed = set(start)
+    for p in range(len(points)):
+        if p in placed:
             continue
-        level = dot(normal, base)
-        values = [dot(normal, p) for p in points]
-        if all(v <= level for v in values):
-            pass
-        elif all(v >= level for v in values):
-            normal = tuple(-x for x in normal)
-            level = -level
-            values = [-v for v in values]
-        else:
-            continue
-        facets[(normal, level)] = tuple(
-            i for i, v in enumerate(values) if v == level
-        )
-    apex = min(range(m), key=lambda i: points[i])
-    simplices = []
-    for (normal, level), facet in sorted(facets.items()):
-        if dot(normal, points[apex]) == level:
-            continue
-        base = points[facet[0]]
-        fbasis = _hermite_basis([_sub(points[i], base) for i in facet])
-        fpivots = _pivot_columns(fbasis)
-        reduced = [
-            _lattice_coordinates(fbasis, fpivots, _sub(points[i], base))
-            for i in facet
-        ]
-        for simplex in _triangulate_hull(reduced):
-            simplices.append((apex,) + tuple(facet[i] for i in simplex))
-    return simplices
+        visible = []
+        for facet, (rows, side) in facets.items():
+            det = _det(rows + [_sub(points[p], points[facet[0]])])
+            if det * side < 0:
+                visible.append(facet)
+                total += abs(det)
+        # the vertex opposite each ridge, or None once a second visible
+        # facet shares it (then the ridge is interior to the visible region)
+        horizon: dict = {}
+        for facet in visible:
+            del facets[facet]
+            for k, opposite in enumerate(facet):
+                ridge = facet[:k] + facet[k + 1:]
+                horizon[ridge] = None if ridge in horizon else opposite
+        for ridge, opposite in horizon.items():
+            if opposite is not None:
+                facet = tuple(sorted(ridge + (p,)))
+                facets[facet] = _oriented_facet(points, facet, opposite)
+    return total
 
 
 def polytope_dim(polytope: LatticePolytope) -> int:
@@ -296,10 +272,10 @@ def polytope_dim(polytope: LatticePolytope) -> int:
 def normalized_volume(polytope: LatticePolytope) -> int:
     """d! times the Euclidean volume, measured in the spanned lattice.
 
-    The points are translated so one vertex is the origin, rewritten in a
-    basis of the lattice they generate, and the full-dimensional hull is
-    fan-triangulated from a vertex; the result is the sum of |det| over the
-    simplices.  A single point yields 1 by the empty-product convention.
+    The points are translated so one of them is the origin and rewritten
+    in a basis of the lattice they generate; the volume of the resulting
+    full-dimensional hull is the sum of |det| over a placing triangulation.
+    A single point yields 1 by the empty-product convention.
     """
     pts = polytope.points
     origin = pts[0]
@@ -308,11 +284,6 @@ def normalized_volume(polytope: LatticePolytope) -> int:
     if not basis:
         return 1
     pivots = _pivot_columns(basis)
-    reduced = [
-        _lattice_coordinates(basis, pivots, _sub(p, origin)) for p in pts
-    ]
-    total = 0
-    for simplex in _triangulate_hull(reduced):
-        first = reduced[simplex[0]]
-        total += abs(_det([_sub(reduced[i], first) for i in simplex[1:]]))
-    return total
+    return _placing_volume(
+        [_lattice_coordinates(basis, pivots, _sub(p, origin)) for p in pts]
+    )

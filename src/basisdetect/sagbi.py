@@ -281,8 +281,10 @@ def _resolve_hilbert_bound(polys: list[Polynomial], bound: int | None) -> int:
 
     The exact criterion needs degree s^2 * d^(n+1); the limit is ``bound``
     (DEFAULT_HILBERT_BOUND when None) when that is lower, with a
-    HilbertBoundWarning.
+    HilbertBoundWarning.  A bound below 1 is a ValueError.
     """
+    if bound is not None and bound < 1:
+        raise ValueError("Hilbert bound must be at least 1, got %d" % bound)
     check_generators(polys)
     _require_homogeneous(polys)
     s = len(polys)

@@ -297,3 +297,36 @@ def test_criterion_15_grassmannian_2_5(tmp_path, capsys):
         and elapsed < 60
     )
     _finish(15, ok, "120 SAGBI classes, universal, %.1fs" % elapsed)
+
+
+@pytest.mark.slow
+def test_criterion_16_truncation_nicer_ranking(tmp_path, capsys):
+    """Full truncation variety with t: the nicer ranking of all 210 classes
+    by (dimension, normalized volume).  The time bound fails if the volume
+    goes back to a facet scan over point subsets, with which this ranking
+    needs hours."""
+    start = time.monotonic()
+    path = _write(
+        tmp_path, systems.truncation_variety_generators(), "truncation.txt"
+    )
+    code, report = _run_json(
+        capsys, "rank", "--input", path, "--homogenize-t", "--criterion", "nicer"
+    )
+    elapsed = time.monotonic() - start
+    groups = [
+        ((g["dim"], g["degree"]), len(g["classes"])) for g in report["groups"]
+    ]
+    ok = (
+        code == 0
+        and groups
+        == [
+            ((10, 40), 36),
+            ((10, 38), 54),
+            ((10, 37), 6),
+            ((10, 34), 6),
+            ((9, 42), 102),
+            ((9, 38), 6),
+        ]
+        and elapsed < 60
+    )
+    _finish(16, ok, "210 classes in 6 nicer groups, %.1fs" % elapsed)

@@ -335,6 +335,30 @@ def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
     assert err.count("\n") == 1 and "--jobs" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rank", "--criterion", "preferable"),
+        ("detect-sagbi", "--method", "hilbert"),
+    ],
+)
+def test_hilbert_bound_below_one_rejected(
+    tmp_path, capsys, monkeypatch, argv, bound
+):
+    def no_parsing(text):
+        raise AssertionError("system parsed before the option check")
+
+    monkeypatch.setattr(cli, "parse_system", no_parsing)
+    path = write_system(tmp_path, systems.non_sagbi_trio())
+    code, out, err = run_cli(
+        capsys, *argv, "--input", path, "--hilbert-bound", bound
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "option error: --hilbert-bound must be at least 1, got %s\n" % bound
+
+
 @pytest.mark.parametrize(
     "jobs, nclasses, cpus, expected",
     [

@@ -1,5 +1,8 @@
 """Tests for class enumeration, LP certificates, and polytope utilities."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +19,11 @@ from basisdetect import (
     ring,
 )
 from basisdetect.lp import maximize
+from basisdetect.orders import _placing_volume
 from basisdetect.polyring import dot
 
 import systems
+from volume_oracle import oracle_normalized_volume
 
 
 def test_lp_maximize_simple_box():
@@ -145,17 +150,37 @@ def test_polytope_dim_twisted_cubic_monomials():
     assert polytope_dim(P) == 1
 
 
+def _dilated_simplex(d, k):
+    """Every lattice point of k times the standard simplex."""
+    return [p for p in itertools.product(range(k + 1), repeat=d) if sum(p) <= k]
+
+
+def _cube(d):
+    return list(itertools.product((0, 1), repeat=d))
+
+
+def _cross_polytope(d):
+    points = [(0,) * d]
+    for i in range(d):
+        for s in (1, -1):
+            points.append(tuple(s if j == i else 0 for j in range(d)))
+    return points
+
+
 def test_normalized_volume_unit_simplices():
-    for d in range(1, 5):
-        points = [tuple(0 for _ in range(d))]
-        for i in range(d):
-            points.append(tuple(1 if j == i else 0 for j in range(d)))
-        assert normalized_volume(LatticePolytope(points)) == 1
+    # k = 1 is the unit simplex; its k-dilation has normalized volume k^d
+    for d in range(1, 6):
+        for k in (1, 2, 3):
+            P = LatticePolytope(_dilated_simplex(d, k))
+            assert normalized_volume(P) == k**d
 
 
 def test_normalized_volume_unit_square():
     P = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert normalized_volume(P) == 2
+    # the unit cube in every dimension up to 5: d! unimodular simplices
+    for d in range(1, 6):
+        assert normalized_volume(LatticePolytope(_cube(d))) == math.factorial(d)
 
 
 def test_normalized_volume_intrinsic_segment():
@@ -188,8 +213,62 @@ def test_normalized_volume_interior_points_ignored():
     quad = [(0, 0), (1, 0), (0, 1), (2, 2)]
     assert normalized_volume(LatticePolytope(quad)) == 4
     assert normalized_volume(LatticePolytope(quad + [(1, 1)])) == 4
+    # the cross-polytope around the origin: 2^d orthant simplices
+    for d in range(1, 6):
+        assert normalized_volume(LatticePolytope(_cross_polytope(d))) == 2**d
 
 
 def test_polytope_dim_bounded_by_rank():
     pts = [(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 1, 0)]
     assert polytope_dim(LatticePolytope(pts)) == 2
+
+
+def _random_point_sets(rng, count):
+    """Small lattice point sets with many coplanar points, some of them
+    mapped into a higher-dimensional space by an integer matrix."""
+    for _ in range(count):
+        d = rng.randint(1, 5)
+        points = [
+            tuple(rng.randint(0, 2) for _ in range(d))
+            for _ in range(rng.randint(1, d + 5))
+        ]
+        extra = rng.choice((0, 0, 1, 2))
+        if extra:
+            matrix = [
+                [rng.randint(-2, 2) for _ in range(d + extra)] for _ in range(d)
+            ]
+            points = [
+                tuple(dot(p, column) for column in zip(*matrix)) for p in points
+            ]
+        yield points
+
+
+def test_normalized_volume_matches_facet_scan_oracle():
+    rng = random.Random(20240)
+    cases = list(_random_point_sets(rng, 150))
+    for F in (systems.grassmannian_2_4(), systems.principal_minors_homogenized()):
+        cases += [cls.leads for cls in extract_weight_vectors(F)]
+    for points in cases:
+        assert normalized_volume(LatticePolytope(points)) == (
+            oracle_normalized_volume(points)
+        ), points
+
+
+def test_placing_volume_independent_of_point_order():
+    # each order places the points differently, so gives another
+    # triangulation of the same hull
+    rng = random.Random(77)
+    cases = [_cube(4), _cross_polytope(4), _dilated_simplex(3, 2)]
+    while len(cases) < 40:
+        d = rng.randint(2, 5)
+        points = sorted({
+            tuple(rng.randint(0, 3) for _ in range(d))
+            for _ in range(rng.randint(d + 1, d + 6))
+        })
+        if polytope_dim(LatticePolytope(points)) == d:
+            cases.append(points)
+    for points in cases:
+        expected = _placing_volume(points)
+        for _ in range(3):
+            rng.shuffle(points)
+            assert _placing_volume(points) == expected, points

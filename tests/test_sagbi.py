@@ -17,6 +17,7 @@ from basisdetect import (
     rank_orders,
     ring,
     subduction,
+    verdicts,
     weight_vectors_realizing_sagbi,
 )
 from basisdetect.orders import LatticePolytope, OrderClass
@@ -197,6 +198,22 @@ def test_hilbert_requires_homogeneous():
         is_sagbi_hilbert(F, cls)
     with pytest.raises(ValueError):
         weight_vectors_realizing_sagbi(F, method="hilbert")
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_hilbert_bound_below_one_rejected(bound):
+    # x + y, x*y, x*y^2 is no SAGBI basis; a bound below 1 compared no
+    # degree at all and reported every class as one
+    F = systems.non_sagbi_trio()
+    cls = extract_weight_vectors(F)[0]
+    with pytest.raises(ValueError, match="at least 1"):
+        is_sagbi_hilbert(F, cls, bound)
+    with pytest.raises(ValueError, match="at least 1"):
+        weight_vectors_realizing_sagbi(F, method="hilbert", bound=bound)
+    with pytest.raises(ValueError, match="at least 1"):
+        verdicts(F, "hilbert", bound=bound)
+    with pytest.raises(ValueError, match="at least 1"):
+        rank_orders(F, "preferable", bound)
 
 
 def test_hilbert_warns_when_cap_truncates():
