@@ -11,7 +11,6 @@ the command line both go through it.
 from __future__ import annotations
 
 import os
-import warnings
 from collections.abc import Generator
 from functools import partial
 
@@ -20,9 +19,9 @@ from .orders import OrderClass, extract_weight_vectors
 from .polyring import Polynomial
 from .sagbi import (
     DEFAULT_SUBDUCTION_CAP,
-    HilbertBoundWarning,
     _resolve_hilbert_bound,
-    is_sagbi_hilbert,
+    _subalgebra_matcher,
+    hilbert_vector,
     is_sagbi_subduction,
 )
 
@@ -47,13 +46,6 @@ def _check_sagbi_subduction(
     polys: list[Polynomial], max_steps: int, cls: OrderClass
 ) -> bool:
     return is_sagbi_subduction(polys, cls, max_steps)
-
-
-def _check_sagbi_hilbert(polys: list[Polynomial], limit: int, cls: OrderClass) -> bool:
-    with warnings.catch_warnings():
-        # verdicts() has already warned once about a truncating limit
-        warnings.simplefilter("ignore", HilbertBoundWarning)
-        return is_sagbi_hilbert(polys, cls, limit)
 
 
 def _checked(check, classes: list[OrderClass], jobs: int):
@@ -94,7 +86,10 @@ def verdicts(
     arguments are validated and the classes enumerated when this is
     called; the verdicts are computed lazily, one class per step, or by
     up to ``jobs`` worker processes.  Checks not yet read are cancelled
-    when the iterator is closed.
+    when the iterator is closed.  'hilbert' always runs in this process:
+    each class's Hilbert vector is compared with the subalgebra's Hilbert
+    function, which is computed once for all classes, one degree at a time,
+    only as far as some class still agrees.
     """
     if criterion == "buchberger":
         check = partial(_check_gb, polys)
@@ -102,7 +97,14 @@ def verdicts(
         check = partial(_check_sagbi_subduction, polys, max_steps)
     elif criterion == "hilbert":
         limit = _resolve_hilbert_bound(polys, bound)
-        check = partial(_check_sagbi_hilbert, polys, limit)
+        matches = _subalgebra_matcher(polys)
+
+        def check(cls: OrderClass) -> bool:
+            return matches(hilbert_vector(polys, cls, limit))
+
+        # the shared subalgebra ranks are nearly all of the cost; workers
+        # could take only the cheap class vectors
+        jobs = 1
     else:
         raise ValueError("criterion must be 'buchberger', 'subduction' or 'hilbert'")
     return _checked(check, extract_weight_vectors(polys), jobs)

@@ -7,11 +7,20 @@ criterion, an alternative Hilbert-function criterion for homogeneous
 generators, and two rankings (preferable / nicer) of the classes when
 detection fails.  The per-class detection loop is in
 :mod:`basisdetect.detect`.
+
+The Hilbert criterion compares two functions of the degree.  The Hilbert
+function of the algebra of leading monomials depends on the class:
+``hilbert_vector`` builds its monomials degree by degree from the lower
+degrees, as packed integers (one bit field per variable).  That of the
+subalgebra does not depend on the term order (Robbiano & Sweedler 1990):
+it is the rank of all power products of each degree, computed once and
+shared by every class it is compared with.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -276,6 +285,11 @@ def _positive_degree_parts(polys, leads=None):
     return kept_polys, kept_leads, degrees
 
 
+def _require_positive_bound(bound: int) -> None:
+    if bound < 1:
+        raise ValueError("Hilbert bound must be at least 1, got %d" % bound)
+
+
 def _resolve_hilbert_bound(polys: list[Polynomial], bound: int | None) -> int:
     """Degree limit of a Hilbert comparison of homogeneous generators.
 
@@ -283,8 +297,8 @@ def _resolve_hilbert_bound(polys: list[Polynomial], bound: int | None) -> int:
     (DEFAULT_HILBERT_BOUND when None) when that is lower, with a
     HilbertBoundWarning.  A bound below 1 is a ValueError.
     """
-    if bound is not None and bound < 1:
-        raise ValueError("Hilbert bound must be at least 1, got %d" % bound)
+    if bound is not None:
+        _require_positive_bound(bound)
     check_generators(polys)
     _require_homogeneous(polys)
     s = len(polys)
@@ -304,23 +318,60 @@ def _resolve_hilbert_bound(polys: list[Polynomial], bound: int | None) -> int:
     return limit
 
 
-def initial_algebra_hilbert(matrix: ExponentMatrix, degrees, total: int) -> int:
-    """Hilbert function of the monomial algebra spanned by the columns."""
-    seen = set()
-    for v in _graded_multiplicities(list(degrees), total):
-        seen.add(matrix.apply(v))
-    return len(seen)
+def _initial_algebra_counts(leads, degrees, bound: int) -> tuple[int, ...]:
+    """Number of distinct monomials in each degree 1..bound of the algebra
+    generated by the monomials x^lead_i, of degrees d_i > 0.
+
+    The monomials of degree t are S_t = union of (S_{t - d_i} + lead_i) over
+    i, from S_0 = {1}.  Each monomial is one int with a bit field per
+    variable (1 is 0), so a product is one addition; a monomial of degree t
+    has no exponent above t <= bound, so fields of bound.bit_length() bits
+    never carry into each other.  Only the last max(d_i) layers are kept.
+    """
+    width = bound.bit_length()
+    steps = {
+        (sum(e << (width * j) for j, e in enumerate(lead)), d)
+        for lead, d in zip(leads, degrees)
+    }
+    window = deque([set()] * (max(degrees) - 1) + [{0}], maxlen=max(degrees))
+    counts = []
+    for t in range(1, bound + 1):
+        layer: set = set()
+        for packed, d in steps:
+            layer.update(map(packed.__add__, window[-d]))
+        counts.append(len(layer))
+        window.append(layer)
+    return tuple(counts)
 
 
-def subalgebra_hilbert(
-    polys: list[Polynomial], degrees, total: int, cache: dict
-) -> int:
-    """Hilbert function of the generated subalgebra in one degree."""
-    products = [
-        _power_product(polys, v, cache)
-        for v in _graded_multiplicities(list(degrees), total)
-    ]
-    return _rank_of_polynomials(products)
+def _subalgebra_matcher(polys: list[Polynomial]):
+    """``matches(vector)``: whether the Hilbert function of the subalgebra
+    generated by the homogeneous ``polys`` equals the HilbertVector
+    ``vector`` in its degrees 1..bound; it stops at the first degree that
+    differs.
+
+    That Hilbert function does not depend on the term order, so one matcher
+    serves every class: each degree's value (the rank of all power products
+    of that degree) is computed the first time a comparison reaches it, and
+    kept.
+    """
+    kept, _, degrees = _positive_degree_parts(polys)
+    known: list[int] = []
+    cache: dict = {}
+
+    def matches(vector: HilbertVector) -> bool:
+        for t, value in enumerate(vector.values, 1):
+            if t > len(known):
+                products = [
+                    _power_product(kept, v, cache)
+                    for v in _graded_multiplicities(degrees, t)
+                ]
+                known.append(_rank_of_polynomials(products))
+            if value != known[t - 1]:
+                return False
+        return True
+
+    return matches
 
 
 def is_sagbi_hilbert(
@@ -333,37 +384,24 @@ def is_sagbi_hilbert(
     'true up to the cap' and a HilbertBoundWarning is issued.
     """
     limit = _resolve_hilbert_bound(polys, bound)
-    _certified_order(polys, cls)
-    kept, kept_leads, degrees = _positive_degree_parts(polys, cls.leads)
-    if not kept:
-        return True
-    matrix = ExponentMatrix(kept_leads)
-    cache: dict = {}
-    for t in range(1, limit + 1):
-        if initial_algebra_hilbert(matrix, degrees, t) != subalgebra_hilbert(
-            kept, degrees, t, cache
-        ):
-            return False
-    return True
+    return _subalgebra_matcher(polys)(hilbert_vector(polys, cls, limit))
 
 
 def hilbert_vector(
     polys: list[Polynomial], cls: OrderClass, bound: int
 ) -> HilbertVector:
-    """Hilbert function of the leading-monomial algebra, degrees 1..bound."""
+    """Hilbert function of the leading-monomial algebra, degrees 1..bound.
+
+    A bound below 1 is a ValueError.
+    """
+    _require_positive_bound(bound)
     check_generators(polys)
     _require_homogeneous(polys)
     _certified_order(polys, cls)
     _, kept_leads, degrees = _positive_degree_parts(polys, cls.leads)
     if not kept_leads:
         return HilbertVector((0,) * bound)
-    matrix = ExponentMatrix(kept_leads)
-    return HilbertVector(
-        tuple(
-            initial_algebra_hilbert(matrix, degrees, t)
-            for t in range(1, bound + 1)
-        )
-    )
+    return HilbertVector(_initial_algebra_counts(kept_leads, degrees, bound))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,90 @@
+"""Reference Hilbert functions, kept as a test oracle for ``hilbert_vector``
+and ``is_sagbi_hilbert``.
+
+The monomial algebra is counted the slow way: every multiplicity vector v
+of each weighted degree is listed, and the distinct products A v are
+counted.  The Hilbert criterion recomputes the subalgebra's ranks for the
+class it checks, one degree after the other, and stops at the first degree
+where the two functions differ.
+"""
+
+from __future__ import annotations
+
+from basisdetect import ExponentMatrix, Polynomial
+from basisdetect.orders import OrderClass
+from basisdetect.sagbi import (
+    _certified_order,
+    _positive_degree_parts,
+    _power_product,
+    _rank_of_polynomials,
+    _require_homogeneous,
+)
+
+
+def graded_multiplicities(degrees: list[int], total: int):
+    """All nonnegative integer vectors v with sum(v_i * degrees_i) = total,
+    in decreasing lexicographic order."""
+    out: list[tuple[int, ...]] = []
+    _walk(degrees, 0, total, [0] * len(degrees), out)
+    return out
+
+
+def _walk(degrees, i: int, rest: int, v: list, out: list) -> None:
+    if i == len(degrees):
+        if rest == 0:
+            out.append(tuple(v))
+        return
+    d = degrees[i]
+    for k in range(rest // d, -1, -1):
+        v[i] = k
+        _walk(degrees, i + 1, rest - k * d, v, out)
+    v[i] = 0
+
+
+def initial_algebra_hilbert(matrix: ExponentMatrix, degrees, total: int) -> int:
+    """Hilbert function of the monomial algebra spanned by the columns."""
+    seen = set()
+    for v in graded_multiplicities(list(degrees), total):
+        seen.add(matrix.apply(v))
+    return len(seen)
+
+
+def subalgebra_hilbert(
+    polys: list[Polynomial], degrees, total: int, cache: dict
+) -> int:
+    """Hilbert function of the generated subalgebra in one degree."""
+    products = [
+        _power_product(polys, v, cache)
+        for v in graded_multiplicities(list(degrees), total)
+    ]
+    return _rank_of_polynomials(products)
+
+
+def hilbert_vector(
+    polys: list[Polynomial], cls: OrderClass, bound: int
+) -> tuple[int, ...]:
+    _require_homogeneous(polys)
+    _certified_order(polys, cls)
+    _, kept_leads, degrees = _positive_degree_parts(polys, cls.leads)
+    if not kept_leads:
+        return (0,) * bound
+    matrix = ExponentMatrix(kept_leads)
+    return tuple(
+        initial_algebra_hilbert(matrix, degrees, t) for t in range(1, bound + 1)
+    )
+
+
+def is_sagbi_hilbert(polys: list[Polynomial], cls: OrderClass, limit: int) -> bool:
+    _require_homogeneous(polys)
+    _certified_order(polys, cls)
+    kept, kept_leads, degrees = _positive_degree_parts(polys, cls.leads)
+    if not kept:
+        return True
+    matrix = ExponentMatrix(kept_leads)
+    cache: dict = {}
+    for t in range(1, limit + 1):
+        if initial_algebra_hilbert(matrix, degrees, t) != subalgebra_hilbert(
+            kept, degrees, t, cache
+        ):
+            return False
+    return True

@@ -330,3 +330,41 @@ def test_criterion_16_truncation_nicer_ranking(tmp_path, capsys):
         and elapsed < 60
     )
     _finish(16, ok, "210 classes in 6 nicer groups, %.1fs" % elapsed)
+
+
+# the six SAGBI classes of the 2x2 minors, by leading monomials, as the
+# subduction criterion finds them (criterion 8)
+MINORS_SAGBI_LEADS = {
+    tuple("t12*t21 t13*t21 t13*t22 t11*t32 t13*t31 t13*t32 t21*t32 t21*t33 t23*t32".split()),
+    tuple("t12*t21 t13*t21 t12*t23 t12*t31 t11*t33 t12*t33 t21*t32 t21*t33 t22*t33".split()),
+    tuple("t12*t21 t11*t23 t12*t23 t12*t31 t13*t31 t12*t33 t22*t31 t23*t31 t23*t32".split()),
+    tuple("t11*t22 t13*t21 t13*t22 t12*t31 t13*t31 t13*t32 t22*t31 t23*t31 t22*t33".split()),
+    tuple("t11*t22 t11*t23 t13*t22 t11*t32 t11*t33 t12*t33 t22*t31 t21*t33 t22*t33".split()),
+    tuple("t11*t22 t11*t23 t12*t23 t11*t32 t11*t33 t13*t32 t21*t32 t23*t31 t23*t32".split()),
+}
+
+
+@pytest.mark.slow
+def test_criterion_17_minors_hilbert_method(tmp_path, capsys):
+    """The Hilbert criterion on the 2x2 minors, up to the default degree
+    12, finds the classes the subduction criterion finds.  The time bound
+    fails if the subalgebra's Hilbert function goes back to being
+    recomputed for each of the 102 classes (about 16 s on a 2-core
+    machine)."""
+    path = _write(tmp_path, systems.minors_2x2_of_3x3(), "minors.txt")
+    start = time.monotonic()
+    code, report = _run_json(
+        capsys, "detect-sagbi", "--method", "hilbert", "--input", path
+    )
+    elapsed = time.monotonic() - start
+    found = [tuple(c["leading_monomials"]) for c in report["classes"]]
+    _, subduction = _run_json(capsys, "detect-sagbi", "--input", path)
+    by_subduction = {tuple(c["leading_monomials"]) for c in subduction["classes"]}
+    ok = (
+        code == 0
+        and len(found) == 6
+        and set(found) == MINORS_SAGBI_LEADS == by_subduction
+        and "truncated at degree 12" in report["bound_warning"]
+        and elapsed < 10
+    )
+    _finish(17, ok, "the 6 subduction SAGBI classes, %.1fs" % elapsed)

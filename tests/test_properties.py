@@ -36,7 +36,12 @@ from basisdetect import (
     toric_ideal_generators,
 )
 from basisdetect.polyring import dot
-from basisdetect.sagbi import _power_product, _sagbi_failure_witness
+from basisdetect.toric import relations_up_to_degree
+from basisdetect.sagbi import (
+    _power_product,
+    _relation_spoly,
+    _sagbi_failure_witness,
+)
 
 import systems
 
@@ -255,6 +260,48 @@ def test_verdict_constant_on_each_class():
             }
             assert len(gb) == 1 and len(sagbi) == 1, (polys, cls, weights)
     assert with_alternates >= 50
+
+
+def _failing_relations(polys, cls, relations):
+    """How many of the lifted relations do not subduce to zero."""
+    order = cls.order()
+    lead_coeffs = [f.terms[e] for f, e in zip(polys, cls.leads)]
+    cache = {}
+    return sum(
+        not subduction(
+            _relation_spoly(polys, lead_coeffs, b.u, b.v, cache), polys, order
+        ).remainder.is_zero()
+        for b in relations
+    )
+
+
+@pytest.mark.parametrize("seed, max_degree", [(20240912, 2), (20240913, 3)])
+def test_subduction_verdict_matches_full_generating_set(seed, max_degree):
+    # The SAGBI witness search subduces the relations of degree <= 3 before
+    # the generating set.  Its verdict must be that of the generating set
+    # alone, also where only a relation of higher degree fails.
+    rng = random.Random(seed)
+    found = []
+    past_prescan = 0
+    for _ in range(160):
+        nvars = rng.randint(2, 3)
+        polys = [
+            random_polynomial(rng, nvars, max_degree=max_degree, max_terms=3)
+            for _ in range(rng.randint(2, 3))
+        ]
+        for cls in extract_weight_vectors(polys):
+            matrix = ExponentMatrix(cls.leads)
+            ok = is_sagbi_subduction(polys, cls)
+            generators = toric_ideal_generators(matrix)
+            assert ok == (not _failing_relations(polys, cls, generators)), (
+                polys,
+                cls,
+            )
+            found.append(ok)
+            low = relations_up_to_degree(matrix, 3)
+            past_prescan += not ok and not _failing_relations(polys, cls, low)
+    assert found.count(True) >= 80 and found.count(False) >= 20
+    assert past_prescan >= 5
 
 
 def test_buchberger_output_passes_criterion_50():

@@ -216,6 +216,17 @@ def test_hilbert_bound_below_one_rejected(bound):
         rank_orders(F, "preferable", bound)
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_hilbert_vector_bound_below_one_rejected(bound):
+    # hilbert_vector takes a resolved bound; below 1 it returned an empty
+    # vector, which compares equal to any other empty vector
+    F = systems.non_sagbi_trio()
+    cls = extract_weight_vectors(F)[0]
+    with pytest.raises(ValueError, match="at least 1, got %d" % bound):
+        hilbert_vector(F, cls, bound)
+    assert len(hilbert_vector(F, cls, 1).values) == 1
+
+
 def test_hilbert_warns_when_cap_truncates():
     F = systems.elementary_symmetric()
     cls = extract_weight_vectors(F)[0]

@@ -1,14 +1,19 @@
 """Tests for the relation ideal and nonnegative integer membership."""
 
 import gc
+import warnings
 
 import pytest
 
 from basisdetect import (
     ExponentMatrix,
+    HilbertBoundWarning,
     TermOrder,
     ToricBinomial,
     buchberger,
+    extract_weight_vectors,
+    hilbert_vector,
+    is_sagbi_hilbert,
     normal_form,
     ring,
     solve_monomial_membership,
@@ -16,6 +21,8 @@ from basisdetect import (
 )
 from basisdetect.sagbi import _graded_multiplicities
 from basisdetect.toric import relations_up_to_degree
+
+import systems
 
 
 def _substitution_vanishes(matrix, binomial):
@@ -138,8 +145,21 @@ def test_generators_generate_low_degree_relations():
         assert normal_form(rel, basis, order).remainder.is_zero()
 
 
+def _grassmannian_2_4_first_class():
+    polys = systems.grassmannian_2_4()
+    return polys, extract_weight_vectors(polys)[0]
+
+
+def _hilbert_criterion_quietly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HilbertBoundWarning)
+        return is_sagbi_hilbert(*_grassmannian_2_4_first_class(), 4)
+
+
 _CYCLE_FREE_CALLS = {
     "graded_multiplicities": lambda: _graded_multiplicities([1, 2, 1], 4),
+    "hilbert_vector": lambda: hilbert_vector(*_grassmannian_2_4_first_class(), 6),
+    "is_sagbi_hilbert": _hilbert_criterion_quietly,
     "relations_up_to_degree": lambda: relations_up_to_degree(
         ExponentMatrix([(2, 0), (1, 1), (0, 2), (3, 1)]), 3
     ),
