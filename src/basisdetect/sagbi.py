@@ -8,13 +8,20 @@ generators, and two rankings (preferable / nicer) of the classes when
 detection fails.  The per-class detection loop is in
 :mod:`basisdetect.detect`.
 
+Both criteria rest on power products prod(F_i ** v_i) of the generators,
+and each is built as a smaller product times one generator: subduction
+and the lifted relations look them up in a table keyed by the
+multiplicity vector v, and read the leading coefficients they scale by
+off the products themselves.
+
 The Hilbert criterion compares two functions of the degree.  The Hilbert
 function of the algebra of leading monomials depends on the class:
 ``hilbert_vector`` builds its monomials degree by degree from the lower
 degrees, as packed integers (one bit field per variable).  That of the
 subalgebra does not depend on the term order (Robbiano & Sweedler 1990):
-it is the rank of all power products of each degree, computed once and
-shared by every class it is compared with.
+it is the rank of the power products of each degree, which are built the
+same way, degree by degree from the lower degrees; it is computed once
+and shared by every class it is compared with.
 """
 
 from __future__ import annotations
@@ -67,18 +74,24 @@ class SubductionResult:
 def _power_product(
     polys: list[Polynomial], multiplicities, cache: dict
 ) -> Polynomial:
-    result = polys[0].ring.constant(1)
-    for i, k in enumerate(multiplicities):
-        if k == 0:
-            continue
-        power = cache.get((i, k))
-        if power is None:
-            power = polys[i] if k == 1 else _power_product(
-                polys, tuple(k - 1 if j == i else 0 for j in range(len(polys))), cache
-            ) * polys[i]
-            cache[(i, k)] = power
-        result = result * power
-    return result
+    """prod(F_i ** v_i), from ``cache``, a table of such products by their
+    multiplicity vectors v.
+
+    A product is a smaller product times one generator: v steps down its
+    last nonzero entry until it reaches a vector in the table (or zero),
+    and the product is multiplied back up, one generator per step, each
+    new vector entered in the table.
+    """
+    v = tuple(multiplicities)
+    missing = []
+    while any(v) and v not in cache:
+        i = max(j for j, k in enumerate(v) if k)
+        missing.append((v, i))
+        v = v[:i] + (v[i] - 1,) + v[i + 1 :]
+    product = cache[v] if any(v) else polys[0].ring.constant(1)
+    for v, i in reversed(missing):
+        product = cache[v] = product * polys[i]
+    return product
 
 
 def subduction(
@@ -97,9 +110,7 @@ def subduction(
     check_generators(polys)
     if f.ring != polys[0].ring:
         raise ValueError("polynomial ring differs from generator ring")
-    leads = [order.leading_term(g) for g in polys]
-    matrix = ExponentMatrix([exp for exp, _ in leads])
-    coeffs = [c for _, c in leads]
+    matrix = ExponentMatrix([order.leading_exponent(g) for g in polys])
     cache: dict = {}
     steps: list[tuple[Fraction, tuple[int, ...]]] = []
     current = f
@@ -112,11 +123,9 @@ def subduction(
         v = solve_monomial_membership(matrix, lead_exp)
         if v is None:
             break
-        scale = lead_coeff
-        for c, k in zip(coeffs, v):
-            scale /= c**k
-        step_poly = _power_product(polys, v, cache).scale(scale)
-        nxt = current - step_poly
+        product = _power_product(polys, v, cache)
+        scale = lead_coeff / product.terms[lead_exp]
+        nxt = current - product.scale(scale)
         assert nxt.is_zero() or order.key(order.leading_exponent(nxt)) < order.key(
             lead_exp
         )
@@ -133,19 +142,13 @@ def _certified_order(polys: list[Polynomial], cls: OrderClass) -> TermOrder:
 
 
 def _relation_spoly(
-    polys: list[Polynomial],
-    lead_coeffs: list[Fraction],
-    u,
-    v,
-    cache: dict,
+    polys: list[Polynomial], u, v, lead, cache: dict
 ) -> Polynomial:
-    """Lift y^u - y^v to generators, scaled so the leading terms cancel."""
-    factor = Fraction(1)
-    for c, a, b in zip(lead_coeffs, u, v):
-        factor *= c ** (a - b)
+    """Lift y^u - y^v to generators, scaled so that their leading terms, at
+    the exponent ``lead`` = A u = A v, cancel."""
     left = _power_product(polys, u, cache)
     right = _power_product(polys, v, cache)
-    return left - right.scale(factor)
+    return left - right.scale(left.terms[lead] / right.terms[lead])
 
 
 def _sagbi_failure_witness(
@@ -162,12 +165,12 @@ def _sagbi_failure_witness(
     check_generators(polys)
     order = _certified_order(polys, cls)
     matrix = ExponentMatrix(cls.leads)
-    lead_coeffs = [f.terms[exp] for f, exp in zip(polys, cls.leads)]
     cache: dict = {}
     seen = set()
 
     def witness(binomial) -> Polynomial | None:
-        spoly = _relation_spoly(polys, lead_coeffs, binomial.u, binomial.v, cache)
+        lead = matrix.apply(binomial.u)
+        spoly = _relation_spoly(polys, binomial.u, binomial.v, lead, cache)
         if spoly.is_zero():
             return None
         if subduction(spoly, polys, order, max_steps).remainder.is_zero():
@@ -216,29 +219,6 @@ def _require_homogeneous(polys: list[Polynomial]) -> None:
                 "generator %d is not homogeneous; Hilbert functions need "
                 "homogeneous generators" % i
             )
-
-
-def _graded_multiplicities(degrees: list[int], total: int):
-    """All nonnegative integer vectors v with sum(v_i * degrees_i) = total,
-    in decreasing lexicographic order."""
-    out: list[tuple[int, ...]] = []
-    _walk_multiplicities(degrees, 0, total, [0] * len(degrees), out)
-    return out
-
-
-def _walk_multiplicities(degrees, i: int, rest: int, v: list, out: list) -> None:
-    # module level rather than nested: a nested recursive helper refers to
-    # itself through its closure, a cycle that keeps ``out`` alive until
-    # the next full garbage collection
-    if i == len(degrees):
-        if rest == 0:
-            out.append(tuple(v))
-        return
-    d = degrees[i]
-    for k in range(rest // d, -1, -1):
-        v[i] = k
-        _walk_multiplicities(degrees, i + 1, rest - k * d, v, out)
-    v[i] = 0
 
 
 def _rank_of_polynomials(polys: list[Polynomial]) -> int:
@@ -351,22 +331,31 @@ def _subalgebra_matcher(polys: list[Polynomial]):
     differs.
 
     That Hilbert function does not depend on the term order, so one matcher
-    serves every class: each degree's value (the rank of all power products
-    of that degree) is computed the first time a comparison reaches it, and
-    kept.
+    serves every class: each degree's value, the rank of all power products
+    of that degree, is computed the first time a comparison reaches it, and
+    kept.  The power products of degree t are those of degree t - d_i times
+    F_i, each multiset of generators built once, from the product with one
+    copy of its last generator less; only the last max(d_i) layers are
+    kept, each product with the index of its last generator.
     """
     kept, _, degrees = _positive_degree_parts(polys)
+    steps = list(enumerate(zip(kept, degrees)))
+    depth = max(degrees, default=1)
+    one = [(0, polys[0].ring.constant(1))]
+    window = deque([[]] * (depth - 1) + [one], maxlen=depth)
     known: list[int] = []
-    cache: dict = {}
 
     def matches(vector: HilbertVector) -> bool:
         for t, value in enumerate(vector.values, 1):
             if t > len(known):
-                products = [
-                    _power_product(kept, v, cache)
-                    for v in _graded_multiplicities(degrees, t)
+                layer = [
+                    (i, p * f)
+                    for i, (f, d) in steps
+                    for j, p in window[-d]
+                    if j <= i
                 ]
-                known.append(_rank_of_polynomials(products))
+                known.append(_rank_of_polynomials([p for _, p in layer]))
+                window.append(layer)
             if value != known[t - 1]:
                 return False
         return True

@@ -5,7 +5,9 @@ The monomial algebra is counted the slow way: every multiplicity vector v
 of each weighted degree is listed, and the distinct products A v are
 counted.  The Hilbert criterion recomputes the subalgebra's ranks for the
 class it checks, one degree after the other, and stops at the first degree
-where the two functions differ.
+where the two functions differ.  Its power products are its own, each
+prod(F_i ** v_i) taken with ``Polynomial.__pow__`` and ``*`` for every
+listed v, so that no product comes from the code under test.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from basisdetect.orders import OrderClass
 from basisdetect.sagbi import (
     _certified_order,
     _positive_degree_parts,
-    _power_product,
     _rank_of_polynomials,
     _require_homogeneous,
 )
@@ -49,12 +50,17 @@ def initial_algebra_hilbert(matrix: ExponentMatrix, degrees, total: int) -> int:
     return len(seen)
 
 
-def subalgebra_hilbert(
-    polys: list[Polynomial], degrees, total: int, cache: dict
-) -> int:
+def power_product(polys: list[Polynomial], v) -> Polynomial:
+    product = polys[0].ring.constant(1)
+    for f, k in zip(polys, v):
+        product = product * f**k
+    return product
+
+
+def subalgebra_hilbert(polys: list[Polynomial], degrees, total: int) -> int:
     """Hilbert function of the generated subalgebra in one degree."""
     products = [
-        _power_product(polys, v, cache)
+        power_product(polys, v)
         for v in graded_multiplicities(list(degrees), total)
     ]
     return _rank_of_polynomials(products)
@@ -81,10 +87,9 @@ def is_sagbi_hilbert(polys: list[Polynomial], cls: OrderClass, limit: int) -> bo
     if not kept:
         return True
     matrix = ExponentMatrix(kept_leads)
-    cache: dict = {}
     for t in range(1, limit + 1):
         if initial_algebra_hilbert(matrix, degrees, t) != subalgebra_hilbert(
-            kept, degrees, t, cache
+            kept, degrees, t
         ):
             return False
     return True

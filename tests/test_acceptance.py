@@ -368,3 +368,18 @@ def test_criterion_17_minors_hilbert_method(tmp_path, capsys):
         and elapsed < 10
     )
     _finish(17, ok, "the 6 subduction SAGBI classes, %.1fs" % elapsed)
+
+
+@pytest.mark.slow
+def test_criterion_18_truncation_subduction(tmp_path, capsys):
+    """Full truncation variety without t, the heaviest subduction run: 102
+    of the 210 classes pass.  Each class subduces about a hundred lifted
+    relations; the run takes 20 to 30 s on a 2-core machine."""
+    start = time.monotonic()
+    path = _write(
+        tmp_path, systems.truncation_variety_generators(), "truncation.txt"
+    )
+    code, report = _run_json(capsys, "detect-sagbi", "--input", path)
+    elapsed = time.monotonic() - start
+    ok = code == 0 and len(report["classes"]) == 102 and elapsed < 60
+    _finish(18, ok, "102 of 210 SAGBI classes, %.1fs" % elapsed)

@@ -43,6 +43,7 @@ from basisdetect.sagbi import (
     _sagbi_failure_witness,
 )
 
+import hilbert_oracle
 import systems
 
 RINGS = {n: ring(*["x%d" % i for i in range(1, n + 1)]) for n in (1, 2, 3)}
@@ -125,6 +126,32 @@ def test_subduction_reconstruction_and_decrease_200():
             )
             lead = order.leading_exponent(result.remainder)
             assert solve_monomial_membership(matrix, lead) is None
+
+
+def test_power_product_table_200():
+    # one shared table, vectors requested in random order: zero, repeats
+    # and vectors that are prefixes of each other (the steps the table
+    # itself takes) must all give prod(f ** k), taken without the table
+    rng = random.Random(20240914)
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        gens = [
+            random_polynomial(rng, nvars, max_degree=2, max_terms=3)
+            for _ in range(rng.randint(1, 4))
+        ]
+        vectors = [tuple(rng.randint(0, 3) for _ in gens) for _ in range(6)]
+        vectors.append((0,) * len(gens))
+        # a vector on the way from another one down to zero
+        base = rng.choice(vectors)
+        cut = rng.randrange(len(gens))
+        tail = (0,) * (len(gens) - cut - 1)
+        vectors.append(base[:cut] + (rng.randint(0, base[cut]),) + tail)
+        vectors += rng.sample(vectors, 3)
+        rng.shuffle(vectors)
+        cache = {}
+        for v in vectors:
+            expected = hilbert_oracle.power_product(gens, v)
+            assert _power_product(gens, v, cache) == expected, (gens, v)
 
 
 def random_matrix(rng, max_rows=3, max_cols=3, max_entry=3):
@@ -265,11 +292,13 @@ def test_verdict_constant_on_each_class():
 def _failing_relations(polys, cls, relations):
     """How many of the lifted relations do not subduce to zero."""
     order = cls.order()
-    lead_coeffs = [f.terms[e] for f, e in zip(polys, cls.leads)]
+    matrix = ExponentMatrix(cls.leads)
     cache = {}
     return sum(
         not subduction(
-            _relation_spoly(polys, lead_coeffs, b.u, b.v, cache), polys, order
+            _relation_spoly(polys, b.u, b.v, matrix.apply(b.u), cache),
+            polys,
+            order,
         ).remainder.is_zero()
         for b in relations
     )

@@ -74,6 +74,16 @@ def test_subduction_immediate_failure():
     assert result.steps == []
 
 
+def test_subduction_of_a_high_power():
+    # a power product is built in a loop, one generator at a time, so a
+    # multiplicity far beyond the recursion limit is no error
+    R = ring("x", "y")
+    x, y = R.variable("x"), R.variable("y")
+    result = subduction(x**1200, [x, y], TermOrder((1, 1)))
+    assert result.remainder.is_zero()
+    assert result.steps == [(Fraction(1), (1200, 0))]
+
+
 def test_subduction_remainder_certificate():
     # when the remainder is nonzero its lead is outside the lead monoid
     from basisdetect import ExponentMatrix, solve_monomial_membership

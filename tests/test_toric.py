@@ -19,7 +19,7 @@ from basisdetect import (
     solve_monomial_membership,
     toric_ideal_generators,
 )
-from basisdetect.sagbi import _graded_multiplicities
+from basisdetect.sagbi import _subalgebra_matcher
 from basisdetect.toric import relations_up_to_degree
 
 import systems
@@ -156,8 +156,15 @@ def _hilbert_criterion_quietly():
         return is_sagbi_hilbert(*_grassmannian_2_4_first_class(), 4)
 
 
+def _subalgebra_degree_walk():
+    # every class of Gr(2,4) is a SAGBI class, so the matcher builds the
+    # power products of each degree 1..6 and keeps its last layers
+    polys, cls = _grassmannian_2_4_first_class()
+    assert _subalgebra_matcher(polys)(hilbert_vector(polys, cls, 6))
+
+
 _CYCLE_FREE_CALLS = {
-    "graded_multiplicities": lambda: _graded_multiplicities([1, 2, 1], 4),
+    "graded_multiplicities": _subalgebra_degree_walk,
     "hilbert_vector": lambda: hilbert_vector(*_grassmannian_2_4_first_class(), 6),
     "is_sagbi_hilbert": _hilbert_criterion_quietly,
     "relations_up_to_degree": lambda: relations_up_to_degree(
