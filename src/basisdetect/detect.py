@@ -19,6 +19,7 @@ from .orders import OrderClass, extract_weight_vectors
 from .polyring import Polynomial
 from .sagbi import (
     DEFAULT_SUBDUCTION_CAP,
+    _require_positive_steps,
     _resolve_hilbert_bound,
     _subalgebra_matcher,
     hilbert_vector,
@@ -94,6 +95,7 @@ def verdicts(
     if criterion == "buchberger":
         check = partial(_check_gb, polys)
     elif criterion == "subduction":
+        _require_positive_steps(max_steps)
         check = partial(_check_sagbi_subduction, polys, max_steps)
     elif criterion == "hilbert":
         limit = _resolve_hilbert_bound(polys, bound)

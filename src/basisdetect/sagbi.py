@@ -14,6 +14,12 @@ and the lifted relations look them up in a table keyed by the
 multiplicity vector v, and read the leading coefficients they scale by
 off the products themselves.
 
+The subduction criterion makes one pass per class: one matrix of leading
+exponents and one product table serve every lift and every subduction
+of the class.  Its relations come from one stream, those of degree <= 3
+first and then the generating set of the relation ideal, which is
+computed only once every low relation has subduced to zero.
+
 The Hilbert criterion compares two functions of the degree.  The Hilbert
 function of the algebra of leading monomials depends on the class:
 ``hilbert_vector`` builds its monomials degree by degree from the lower
@@ -94,6 +100,11 @@ def _power_product(
     return product
 
 
+def _require_positive_steps(max_steps: int) -> None:
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1, got %d" % max_steps)
+
+
 def subduction(
     f: Polynomial,
     polys: list[Polynomial],
@@ -106,12 +117,20 @@ def subduction(
     Each step subtracts c * prod(F_i ** v_i) where A v matches the current
     leading exponent (A = leading exponents of the generators), so the
     leading term cancels exactly and strictly decreases in the order.
+    A ``max_steps`` below 1 is a ValueError.
     """
     check_generators(polys)
     if f.ring != polys[0].ring:
         raise ValueError("polynomial ring differs from generator ring")
+    _require_positive_steps(max_steps)
     matrix = ExponentMatrix([order.leading_exponent(g) for g in polys])
-    cache: dict = {}
+    return _subduce(f, polys, order, matrix, {}, max_steps)
+
+
+def _subduce(f, polys, order, matrix, cache, max_steps) -> SubductionResult:
+    """The subduction loop, given the generators' leading exponents as the
+    columns of ``matrix`` and a table of their power products, ``cache``,
+    that it extends."""
     steps: list[tuple[Fraction, tuple[int, ...]]] = []
     current = f
     while not current.is_zero():
@@ -151,6 +170,18 @@ def _relation_spoly(
     return left - right.scale(left.terms[lead] / right.terms[lead])
 
 
+def _relations(matrix: ExponentMatrix):
+    """The relations whose lifts the criterion subduces: those of degree
+    <= 3 first, then the generating-set binomials not among them.  The
+    generating set is computed only when every low relation was taken."""
+    low = relations_up_to_degree(matrix, 3)
+    yield from low
+    seen = set(low)
+    for binomial in toric_ideal_generators(matrix):
+        if binomial not in seen:
+            yield binomial
+
+
 def _sagbi_failure_witness(
     polys: list[Polynomial],
     cls: OrderClass,
@@ -160,34 +191,21 @@ def _sagbi_failure_witness(
 
     A nonzero remainder for any single relation already disproves the
     basis property, so cheap low-degree relations are tried before the
-    full elimination-based generating set is computed.
+    full elimination-based generating set is computed.  The class's
+    leading exponents and one product table serve every lift and every
+    subduction.
     """
     check_generators(polys)
+    _require_positive_steps(max_steps)
     order = _certified_order(polys, cls)
     matrix = ExponentMatrix(cls.leads)
     cache: dict = {}
-    seen = set()
-
-    def witness(binomial) -> Polynomial | None:
+    for binomial in _relations(matrix):
         lead = matrix.apply(binomial.u)
         spoly = _relation_spoly(polys, binomial.u, binomial.v, lead, cache)
-        if spoly.is_zero():
-            return None
-        if subduction(spoly, polys, order, max_steps).remainder.is_zero():
-            return None
-        return spoly
-
-    for binomial in relations_up_to_degree(matrix, 3):
-        seen.add((binomial.u, binomial.v))
-        found = witness(binomial)
-        if found is not None:
-            return found
-    for binomial in toric_ideal_generators(matrix):
-        if (binomial.u, binomial.v) in seen:
-            continue
-        found = witness(binomial)
-        if found is not None:
-            return found
+        result = _subduce(spoly, polys, order, matrix, cache, max_steps)
+        if not result.remainder.is_zero():
+            return spoly
     return None
 
 

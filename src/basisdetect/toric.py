@@ -10,6 +10,10 @@ polynomial in that computation is a binomial with coefficients 1 and -1,
 so the Buchberger algorithm here works on pairs of exponent vectors only,
 with the product and chain criteria to skip pairs.
 
+``relations_up_to_degree`` lists the relations of low degree directly: the
+column multisets up to that size, from ``combinations_with_replacement``,
+grouped by the sum of their columns.
+
 ``solve_monomial_membership`` decides whether a monomial x^b lies in the
 multiplicative monoid generated by the x^alpha_i, i.e. solves A v = b over
 nonnegative integers by bounded depth-first search.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .polyring import Exponent
 
@@ -257,31 +262,22 @@ def relations_up_to_degree(matrix: ExponentMatrix, max_degree: int) -> list[Tori
     genuine relation, which makes this useful as a cheap failure witness
     scan before the full elimination.
     """
-    s = matrix.ncols
+    s, columns = matrix.ncols, matrix.columns
     groups: dict = {}
-    out = []
-    # depth-first over multisets of size <= max_degree, each one extended
-    # only at positions >= the last one it bumped
-    stack = [((0,) * s, 0, 0)]
-    while stack:
-        u, start, size = stack.pop()
-        if size < max_degree:
-            for i in range(s - 1, start - 1, -1):
-                bumped = list(u)
-                bumped[i] += 1
-                stack.append((tuple(bumped), i, size + 1))
-        if not any(u):
-            continue
-        key = matrix.apply(u)
-        for v in groups.get(key, ()):
-            common = tuple(min(a, b) for a, b in zip(u, v))
-            uu = tuple(a - c for a, c in zip(u, common))
-            vv = tuple(b - c for b, c in zip(v, common))
-            if uu != vv:
+    out = set()
+    for size in range(1, max_degree + 1):
+        for combo in combinations_with_replacement(range(s), size):
+            u = tuple(map(combo.count, range(s)))
+            key = tuple(map(sum, zip(*map(columns.__getitem__, combo))))
+            # two distinct multisets stay distinct without their common part
+            for v in groups.get(key, ()):
+                common = tuple(min(a, b) for a, b in zip(u, v))
+                uu = tuple(a - c for a, c in zip(u, common))
+                vv = tuple(b - c for b, c in zip(v, common))
                 first, second = sorted((uu, vv), key=_grlex_key, reverse=True)
-                out.append(ToricBinomial(first, second))
-        groups.setdefault(key, []).append(u)
-    return sorted(set(out), key=lambda b: (_grlex_key(b.u), _grlex_key(b.v)))
+                out.add(ToricBinomial(first, second))
+            groups.setdefault(key, []).append(u)
+    return sorted(out, key=lambda b: (_grlex_key(b.u), _grlex_key(b.v)))
 
 
 def solve_monomial_membership(matrix: ExponentMatrix, target) -> tuple[int, ...] | None:

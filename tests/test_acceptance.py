@@ -381,5 +381,5 @@ def test_criterion_18_truncation_subduction(tmp_path, capsys):
     )
     code, report = _run_json(capsys, "detect-sagbi", "--input", path)
     elapsed = time.monotonic() - start
-    ok = code == 0 and len(report["classes"]) == 102 and elapsed < 60
+    ok = code == 0 and len(report["classes"]) == 102 and elapsed < 45
     _finish(18, ok, "102 of 210 SAGBI classes, %.1fs" % elapsed)

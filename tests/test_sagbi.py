@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from basisdetect import (
+    ExponentMatrix,
     HilbertBoundWarning,
     SubductionLimitError,
     TermOrder,
@@ -17,6 +18,7 @@ from basisdetect import (
     rank_orders,
     ring,
     subduction,
+    toric_ideal_generators,
     verdicts,
     weight_vectors_realizing_sagbi,
 )
@@ -112,6 +114,47 @@ def test_subduction_step_cap():
     assert len(full.steps) > 1
     with pytest.raises(SubductionLimitError):
         subduction(f, F, TermOrder(green.weight), max_steps=1)
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_subduction_cap_below_one_rejected(max_steps):
+    # a cap below 1 ran no step at all and blamed the input with
+    # "did not finish within 0 steps"
+    F, green, _ = _green_red()
+    R = ring("x", "y")
+    x = R.variable("x")
+    match = "at least 1, got %d" % max_steps
+    with pytest.raises(ValueError, match=match):
+        subduction(x**2, [x], TermOrder((1, 1)), max_steps=max_steps)
+    with pytest.raises(ValueError, match=match):
+        is_sagbi_subduction(F, green, max_steps)
+    with pytest.raises(ValueError, match=match):
+        weight_vectors_realizing_sagbi(F, max_steps=max_steps)
+    with pytest.raises(ValueError, match=match):
+        verdicts(F, "subduction", max_steps=max_steps)
+    assert subduction(x**2, [x], TermOrder((1, 1)), max_steps=1).remainder.is_zero()
+
+
+def test_generating_set_only_after_low_relations(monkeypatch):
+    # the red class fails on a relation of degree <= 3, so it never needs
+    # the generating set; the green class needs it once
+    F, green, red = _green_red()
+
+    def refuse(matrix):
+        raise AssertionError("generating set computed")
+
+    monkeypatch.setattr("basisdetect.sagbi.toric_ideal_generators", refuse)
+    assert not is_sagbi_subduction(F, red)
+
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return toric_ideal_generators(matrix)
+
+    monkeypatch.setattr("basisdetect.sagbi.toric_ideal_generators", counting)
+    assert is_sagbi_subduction(F, green)
+    assert calls == [ExponentMatrix(green.leads)]
 
 
 def test_is_sagbi_two_cones():

@@ -14,6 +14,7 @@ from basisdetect import (
     extract_weight_vectors,
     hilbert_vector,
     is_sagbi_hilbert,
+    is_sagbi_subduction,
     normal_form,
     ring,
     solve_monomial_membership,
@@ -156,6 +157,18 @@ def _hilbert_criterion_quietly():
         return is_sagbi_hilbert(*_grassmannian_2_4_first_class(), 4)
 
 
+def _subduction_criterion_two_cones():
+    # the red class stops the relation stream early, the green one runs it
+    # through the generating set
+    polys = systems.two_cone_example()
+    verdicts = {
+        cls.leads: is_sagbi_subduction(polys, cls)
+        for cls in extract_weight_vectors(polys)
+    }
+    assert verdicts[((2, 0), (1, 1), (0, 2))]
+    assert not verdicts[((0, 2), (1, 1), (0, 2))]
+
+
 def _subalgebra_degree_walk():
     # every class of Gr(2,4) is a SAGBI class, so the matcher builds the
     # power products of each degree 1..6 and keeps its last layers
@@ -167,6 +180,7 @@ _CYCLE_FREE_CALLS = {
     "graded_multiplicities": _subalgebra_degree_walk,
     "hilbert_vector": lambda: hilbert_vector(*_grassmannian_2_4_first_class(), 6),
     "is_sagbi_hilbert": _hilbert_criterion_quietly,
+    "is_sagbi_subduction": _subduction_criterion_two_cones,
     "relations_up_to_degree": lambda: relations_up_to_degree(
         ExponentMatrix([(2, 0), (1, 1), (0, 2), (3, 1)]), 3
     ),

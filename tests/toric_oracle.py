@@ -1,9 +1,15 @@
-"""Reference elimination, kept as a test oracle for ``toric_ideal_generators``.
+"""Reference code, kept as test oracles for ``basisdetect.toric``.
 
-Runs the generic ``Fraction`` Buchberger (``basisdetect.buchberger``) on
-<y_i - x^alpha_i> under an x-eliminating block order and keeps the basis
-elements free of x-variables.  The reduced Groebner basis is unique, so the
-production binomial engine must return exactly the same list.
+``toric_ideal_generators`` runs the generic ``Fraction`` Buchberger
+(``basisdetect.buchberger``) on <y_i - x^alpha_i> under an x-eliminating
+block order and keeps the basis elements free of x-variables.  The reduced
+Groebner basis is unique, so the production binomial engine must return
+exactly the same list.
+
+``relations_up_to_degree`` walks the column multisets depth first with an
+explicit stack and keys each by ``matrix.apply``; the production version,
+which takes them from ``itertools.combinations_with_replacement``, must
+return exactly the same list.
 """
 
 from __future__ import annotations
@@ -57,4 +63,39 @@ def toric_ideal_generators(matrix) -> list[ToricBinomial]:
         if matrix.apply(u) != matrix.apply(v):
             raise AssertionError("elimination produced a non-relation")
         out.append(ToricBinomial(u, v))
+    return sorted(set(out), key=lambda b: (_grlex_key(b.u), _grlex_key(b.v)))
+
+
+def relations_up_to_degree(matrix, max_degree: int) -> list[ToricBinomial]:
+    """Binomial relations y^u - y^v with both sides of degree <= max_degree.
+
+    Found by hashing column multisets on their exponent sums; generally NOT
+    a generating set of the relation ideal, but every returned pair is a
+    genuine relation, which makes this useful as a cheap failure witness
+    scan before the full elimination.
+    """
+    s = matrix.ncols
+    groups: dict = {}
+    out = []
+    # depth-first over multisets of size <= max_degree, each one extended
+    # only at positions >= the last one it bumped
+    stack = [((0,) * s, 0, 0)]
+    while stack:
+        u, start, size = stack.pop()
+        if size < max_degree:
+            for i in range(s - 1, start - 1, -1):
+                bumped = list(u)
+                bumped[i] += 1
+                stack.append((tuple(bumped), i, size + 1))
+        if not any(u):
+            continue
+        key = matrix.apply(u)
+        for v in groups.get(key, ()):
+            common = tuple(min(a, b) for a, b in zip(u, v))
+            uu = tuple(a - c for a, c in zip(u, common))
+            vv = tuple(b - c for b, c in zip(v, common))
+            if uu != vv:
+                first, second = sorted((uu, vv), key=_grlex_key, reverse=True)
+                out.append(ToricBinomial(first, second))
+        groups.setdefault(key, []).append(u)
     return sorted(set(out), key=lambda b: (_grlex_key(b.u), _grlex_key(b.v)))
