@@ -28,14 +28,19 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .detect import verdicts
 from .orders import OrderClass, extract_weight_vectors
-from .polyring import Polynomial, PolynomialRing, homogenize_with_t
-from .sagbi import HilbertBoundWarning, RankGroup, SubductionLimitError, rank_orders
+from .polyring import (
+    HilbertBoundWarning,
+    Polynomial,
+    PolynomialRing,
+    SubductionLimitError,
+    _Record,
+    homogenize_with_t,
+)
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 OPTION_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):\s*(.*)\Z")
@@ -52,13 +57,17 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass
-class SystemFile:
+class SystemFile(_Record):
     """Parsed header plus the raw polynomial expression strings."""
 
-    variables: list[str]
-    polynomials: list[str]
-    options: dict = field(default_factory=dict)
+    __slots__ = ("variables", "polynomials", "options")
+
+    def __init__(
+        self, variables: list[str], polynomials: list[str], options: dict | None = None
+    ):
+        self.variables = variables
+        self.polynomials = polynomials
+        self.options = {} if options is None else options
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +330,8 @@ def _emit(report: dict, fmt: str, out) -> None:
     out.write("\n".join(lines) + "\n")
 
 
-def _group_entry(ring: PolynomialRing, criterion: str, group: RankGroup) -> dict:
+def _group_entry(ring: PolynomialRing, criterion: str, group) -> dict:
+    """Report entry of one ``sagbi.RankGroup``."""
     entry = {"classes": [_class_entry(ring, c) for c in group]}
     if criterion == "nicer":
         entry["dim"], entry["degree"] = group.score
@@ -354,7 +364,7 @@ def run(args) -> int:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print("input error: %s" % exc, file=sys.stderr)
             return 2
     try:
@@ -383,6 +393,8 @@ def run(args) -> int:
                     _class_entry(ring, c) for c in extract_weight_vectors(polys)
                 ]
             elif command == "rank":
+                from .sagbi import rank_orders
+
                 report["criterion"] = args.criterion
                 groups = rank_orders(polys, args.criterion, args.hilbert_bound)
                 report["groups"] = [

@@ -6,6 +6,9 @@ or the subduction or Hilbert-function criterion for SAGBI bases.  The
 verdict is constant on each class, so the class certificate decides it.
 ``verdicts`` is the only loop over classes; the library entry points and
 the command line both go through it.
+
+Each criterion's module is imported where that criterion runs, so a
+command loads only the layers it uses.
 """
 
 from __future__ import annotations
@@ -14,17 +17,8 @@ import os
 from collections.abc import Generator
 from functools import partial
 
-from .groebner import is_groebner_basis
 from .orders import OrderClass, extract_weight_vectors
-from .polyring import Polynomial
-from .sagbi import (
-    DEFAULT_SUBDUCTION_CAP,
-    _require_positive_steps,
-    _resolve_hilbert_bound,
-    _subalgebra_matcher,
-    hilbert_vector,
-    is_sagbi_subduction,
-)
+from .polyring import DEFAULT_SUBDUCTION_CAP, Polynomial
 
 
 def _pool_size(jobs: int, nclasses: int, cpus: int | None) -> int:
@@ -40,12 +34,16 @@ def _pool_size(jobs: int, nclasses: int, cpus: int | None) -> int:
 
 
 def _check_gb(polys: list[Polynomial], cls: OrderClass) -> bool:
+    from .groebner import is_groebner_basis
+
     return is_groebner_basis(polys, cls.order())
 
 
 def _check_sagbi_subduction(
     polys: list[Polynomial], max_steps: int, cls: OrderClass
 ) -> bool:
+    from .sagbi import is_sagbi_subduction
+
     return is_sagbi_subduction(polys, cls, max_steps)
 
 
@@ -95,9 +93,13 @@ def verdicts(
     if criterion == "buchberger":
         check = partial(_check_gb, polys)
     elif criterion == "subduction":
+        from .sagbi import _require_positive_steps
+
         _require_positive_steps(max_steps)
         check = partial(_check_sagbi_subduction, polys, max_steps)
     elif criterion == "hilbert":
+        from .sagbi import _resolve_hilbert_bound, _subalgebra_matcher, hilbert_vector
+
         limit = _resolve_hilbert_bound(polys, bound)
         matches = _subalgebra_matcher(polys)
 

@@ -9,16 +9,17 @@ gives the class answer.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import Exponent, MonomialOrder, Polynomial, check_generators
+from .polyring import Exponent, MonomialOrder, Polynomial, _Record, check_generators
 
 
-@dataclass
-class DivisionResult:
-    quotients: list[Polynomial]
-    remainder: Polynomial
+class DivisionResult(_Record):
+    __slots__ = ("quotients", "remainder")
+
+    def __init__(self, quotients: list[Polynomial], remainder: Polynomial):
+        self.quotients = quotients
+        self.remainder = remainder
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:

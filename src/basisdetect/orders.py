@@ -16,19 +16,22 @@ placing (beneath-beyond) triangulation, in exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
 
 from . import lp
 from .polyring import (
-    Exponent, Polynomial, TermOrder, check_generators, normalize_weight
+    Exponent,
+    Polynomial,
+    TermOrder,
+    _FrozenRecord,
+    check_generators,
+    normalize_weight,
 )
 
 LeadingTuple = tuple[Exponent, ...]
 
 
-@dataclass(frozen=True)
-class OrderClass:
+class OrderClass(_FrozenRecord):
     """One equivalence class: chosen leading exponents plus a certificate.
 
     The weight strictly selects ``leads[i]`` over every other support
@@ -36,8 +39,10 @@ class OrderClass:
     on the lex refinement.
     """
 
-    leads: LeadingTuple
-    weight: tuple[int, ...]
+    __slots__ = ("leads", "weight")
+
+    def __init__(self, leads: LeadingTuple, weight: tuple[int, ...]):
+        self._set(leads, weight)
 
     def order(self) -> TermOrder:
         return TermOrder(self.weight)
@@ -116,11 +121,10 @@ def extract_weight_vectors(polys: list[Polynomial]) -> list[OrderClass]:
 # lattice polytopes: dimension and normalized volume
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(_FrozenRecord):
     """Convex hull of a finite nonempty set of lattice points."""
 
-    points: tuple[Exponent, ...]
+    __slots__ = ("points",)
 
     def __init__(self, points):
         pts = tuple(sorted({tuple(int(x) for x in p) for p in points}))
@@ -128,7 +132,7 @@ class LatticePolytope:
             raise ValueError("empty point set")
         if len({len(p) for p in pts}) != 1:
             raise ValueError("points of mixed dimension")
-        object.__setattr__(self, "points", pts)
+        self._set(pts)
 
 
 def _sub(p: Exponent, q: Exponent) -> tuple[int, ...]:

@@ -7,24 +7,83 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 Exponent = tuple[int, ...]
 
+# Shared by the subduction and Hilbert criteria (``sagbi``), the detection
+# driver and the command line, which load ``sagbi`` only when they run it.
+DEFAULT_SUBDUCTION_CAP = 10_000
 
-@dataclass(frozen=True)
-class PolynomialRing:
+
+class SubductionLimitError(RuntimeError):
+    """Subduction exceeded its iteration cap (suspected non-termination)."""
+
+
+class HilbertBoundWarning(UserWarning):
+    """The degree cap truncated the exact Hilbert comparison bound."""
+
+
+class _Record:
+    """Equality, ``repr`` and pickling derived from the field names in
+    ``__slots__``, as ``dataclasses`` generates them; that module is not
+    imported, because loading it (with ``inspect``) is a large share of the
+    command line's start-up.  A subclass lists its fields in ``__slots__``
+    and sets them in its own ``__init__``.  Defining ``__eq__`` leaves a
+    record unhashable, as a mutable dataclass is."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__
+        )
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class _FrozenRecord(_Record):
+    """A record that hashes by its fields and refuses assignment; its
+    ``__init__`` sets the fields, in ``__slots__`` order, with ``_set``."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class PolynomialRing(_FrozenRecord):
     """An ordered sequence of variable names fixing exponent-vector length."""
 
-    variables: tuple[str, ...]
+    __slots__ = ("variables",)
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("duplicate variable names: %r" % (self.variables,))
-        if not self.variables:
+    def __init__(self, variables: tuple[str, ...]):
+        if len(set(variables)) != len(variables):
+            raise ValueError("duplicate variable names: %r" % (variables,))
+        if not variables:
             raise ValueError("ring needs at least one variable")
+        self._set(variables)
 
     @property
     def nvars(self) -> int:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .orders import (
@@ -45,7 +44,17 @@ from .orders import (
     normalized_volume,
     polytope_dim,
 )
-from .polyring import MonomialOrder, Polynomial, TermOrder, check_generators
+from .polyring import (
+    DEFAULT_SUBDUCTION_CAP,
+    HilbertBoundWarning,
+    MonomialOrder,
+    Polynomial,
+    SubductionLimitError,
+    TermOrder,
+    _FrozenRecord,
+    _Record,
+    check_generators,
+)
 from .toric import (
     ExponentMatrix,
     relations_up_to_degree,
@@ -53,28 +62,23 @@ from .toric import (
     toric_ideal_generators,
 )
 
-DEFAULT_SUBDUCTION_CAP = 10_000
 DEFAULT_HILBERT_BOUND = 12
 
 
-class SubductionLimitError(RuntimeError):
-    """Subduction exceeded its iteration cap (suspected non-termination)."""
-
-
-class HilbertBoundWarning(UserWarning):
-    """The degree cap truncated the exact Hilbert comparison bound."""
-
-
-@dataclass
-class SubductionResult:
+class SubductionResult(_Record):
     """Remainder plus the subtracted steps (coefficient, multiplicities).
 
     The input reconstructs exactly as
     ``sum(c * prod(F_i ** v_i) for c, v in steps) + remainder``.
     """
 
-    remainder: Polynomial
-    steps: list[tuple[Fraction, tuple[int, ...]]]
+    __slots__ = ("remainder", "steps")
+
+    def __init__(
+        self, remainder: Polynomial, steps: list[tuple[Fraction, tuple[int, ...]]]
+    ):
+        self.remainder = remainder
+        self.steps = steps
 
 
 def _power_product(
@@ -223,11 +227,13 @@ def is_sagbi_subduction(
 # Hilbert-function criterion (homogeneous generators)
 
 
-@dataclass(frozen=True)
-class HilbertVector:
+class HilbertVector(_FrozenRecord):
     """Dimensions of the graded pieces for degrees 1..bound."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        self._set(values)
 
 
 def _require_homogeneous(polys: list[Polynomial]) -> None:

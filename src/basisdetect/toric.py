@@ -22,17 +22,15 @@ nonnegative integers by bounded depth-first search.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .polyring import Exponent
+from .polyring import Exponent, _FrozenRecord
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
+class ExponentMatrix(_FrozenRecord):
     """Nonnegative integer matrix stored by columns (one per generator)."""
 
-    columns: tuple[Exponent, ...]
+    __slots__ = ("columns",)
 
     def __init__(self, columns):
         cols = tuple(tuple(int(x) for x in c) for c in columns)
@@ -42,7 +40,7 @@ class ExponentMatrix:
             raise ValueError("columns of mixed length")
         if any(x < 0 for c in cols for x in c):
             raise ValueError("entries must be nonnegative")
-        object.__setattr__(self, "columns", cols)
+        self._set(cols)
 
     @property
     def nrows(self) -> int:
@@ -62,12 +60,13 @@ class ExponentMatrix:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ToricBinomial:
+class ToricBinomial(_FrozenRecord):
     """A relation y^u - y^v with disjoint supports and A u = A v."""
 
-    u: tuple[int, ...]
-    v: tuple[int, ...]
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: tuple[int, ...], v: tuple[int, ...]):
+        self._set(u, v)
 
 
 def _grlex_key(e) -> tuple:

@@ -294,6 +294,28 @@ def test_missing_file_exit_code(capsys):
     assert "input error" in err
 
 
+def test_non_utf8_file_exit_code(tmp_path, capsys):
+    # exit 1 means "no classes found", so an undecodable file must not
+    # escape as a traceback
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"ring: x\npolys:\n\xff\n")
+    code, out, err = run_cli(capsys, "detect-gb", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("input error: ") and "utf-8" in err
+
+
+def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch):
+    raw = io.BytesIO(b"ring: x\npolys:\n\xff\n")
+    stdin = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(capsys, "detect-gb", "--input", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: line 3, column 1: unexpected character")
+
+
 def test_homogenize_collision_exit_code(tmp_path, capsys):
     path = tmp_path / "t.txt"
     path.write_text("ring: t, x\npolys:\nt*x\n")
@@ -426,7 +448,7 @@ def test_universal_stops_at_first_failing_class(tmp_path, capsys, monkeypatch):
         checked.append(cls)
         return is_sagbi_subduction(polys, cls, max_steps)
 
-    monkeypatch.setattr(detect, "is_sagbi_subduction", counting)
+    monkeypatch.setattr(sagbi, "is_sagbi_subduction", counting)
     path = write_system(tmp_path, F)
     reports = []
     for jobs in ("1", "2"):
