@@ -24,7 +24,6 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 import warnings
@@ -297,6 +296,8 @@ def _render_class_line(entry: dict) -> str:
 
 def _emit(report: dict, fmt: str, out) -> None:
     if fmt == "json":
+        import json  # only here: a text report need not load it
+
         json.dump(report, out, indent=2)
         out.write("\n")
         return

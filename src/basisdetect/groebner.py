@@ -9,9 +9,9 @@ gives the class answer.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 
 from .polyring import Exponent, MonomialOrder, Polynomial, _Record, check_generators
+from .polyring import _add_multiple, _divides
 
 
 class DivisionResult(_Record):
@@ -22,12 +22,13 @@ class DivisionResult(_Record):
         self.remainder = remainder
 
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _cofactor(a: Exponent, b: Exponent) -> Exponent:
+    """The exponent of x^a / x^b (x^b must divide x^a)."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def _coprime(a: Exponent, b: Exponent) -> bool:
@@ -43,10 +44,13 @@ def normal_form(
     divides the current leading exponent is used; otherwise the leading
     term moves to the remainder.  Satisfies f = sum(q_i g_i) + r with no
     remainder term divisible by any leading exponent of the divisors.
+    Leading exponents strictly decrease, so each quotient term is written
+    once.
     """
     ring = f.ring
     info = []
     for g in divisors:
+        f._check_ring(g)
         if g.is_zero():
             raise ValueError("zero divisor")
         info.append(order.leading_term(g))
@@ -58,16 +62,10 @@ def normal_form(
         coeff = work[lead]
         for i, (gexp, gcoeff) in enumerate(info):
             if _divides(gexp, lead):
-                shift = tuple(a - b for a, b in zip(lead, gexp))
+                shift = _cofactor(lead, gexp)
                 factor = coeff / gcoeff
-                quotients[i][shift] = quotients[i].get(shift, Fraction(0)) + factor
-                for e, c in divisors[i].terms.items():
-                    target = tuple(a + b for a, b in zip(shift, e))
-                    acc = work.get(target, Fraction(0)) - factor * c
-                    if acc:
-                        work[target] = acc
-                    else:
-                        work.pop(target, None)
+                quotients[i][shift] = factor
+                _add_multiple(work, -factor, shift, divisors[i].terms)
                 break
         else:
             remainder[lead] = coeff
@@ -80,14 +78,14 @@ def normal_form(
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """Classical S-pair: both polynomials are scaled so the lcm of their
     leading monomials cancels."""
+    f._check_ring(g)
     fexp, fcoeff = order.leading_term(f)
     gexp, gcoeff = order.leading_term(g)
     lcm_exp = _exp_lcm(fexp, gexp)
-    fshift = tuple(a - b for a, b in zip(lcm_exp, fexp))
-    gshift = tuple(a - b for a, b in zip(lcm_exp, gexp))
-    left = f.ring.monomial(fshift, Fraction(1) / fcoeff) * f
-    right = f.ring.monomial(gshift, Fraction(1) / gcoeff) * g
-    return left - right
+    terms: dict = {}
+    _add_multiple(terms, 1 / fcoeff, _cofactor(lcm_exp, fexp), f.terms)
+    _add_multiple(terms, -1 / gcoeff, _cofactor(lcm_exp, gexp), g.terms)
+    return Polynomial(f.ring, terms)
 
 
 def is_groebner_basis(polys: list[Polynomial], order: MonomialOrder) -> bool:

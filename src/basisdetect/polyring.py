@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 Exponent = tuple[int, ...]
 
@@ -162,38 +163,33 @@ class Polynomial:
         return self.terms.get(tuple(exponent), Fraction(0))
 
     def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        # identity first: the field comparison of two equal rings costs more
+        # than a division step's arithmetic
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError("polynomials belong to different rings")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        res = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = res.get(exp, Fraction(0)) + coeff
-            if acc:
-                res[exp] = acc
-            else:
-                res.pop(exp, None)
-        return Polynomial(self.ring, res)
+        return self._plus(1, other)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus(-1, other)
+
+    def _plus(self, factor, other: "Polynomial") -> "Polynomial":
+        """self + factor * other."""
+        self._check_ring(other)
+        terms = dict(self.terms)
+        _add_multiple(terms, factor, None, other.terms)
+        return Polynomial(self.ring, terms)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        res: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                acc = res.get(exp, Fraction(0)) + c1 * c2
-                if acc:
-                    res[exp] = acc
-                else:
-                    del res[exp]
-        return Polynomial(self.ring, res)
+        terms: dict = {}
+        for exp, coeff in self.terms.items():
+            _add_multiple(terms, coeff, exp, other.terms)
+        return Polynomial(self.ring, terms)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
@@ -241,6 +237,32 @@ class Polynomial:
         for piece in parts[1:]:
             out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
         return out
+
+
+def _add_multiple(terms: dict, factor, shift, other: dict) -> None:
+    """terms += factor * x^shift * other, in place, dropping the terms that
+    cancel; a ``shift`` of None stands for x^0.
+
+    This is the one accumulation loop of the package: sums, differences and
+    products of polynomials, S-polynomials, division and subduction steps
+    and the rank elimination all update a term dict through it, and build
+    a ``Polynomial`` only from the finished dict.
+    """
+    for exp, coeff in other.items():
+        if shift is not None:
+            exp = tuple(map(add, exp, shift))
+        acc = terms.get(exp)
+        if acc is None:
+            terms[exp] = factor * coeff
+        elif acc := acc + factor * coeff:
+            terms[exp] = acc
+        else:
+            del terms[exp]
+
+
+def _divides(a: Exponent, b: Exponent) -> bool:
+    """Whether the monomial x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def normalize_weight(entries) -> tuple[int, ...]:
@@ -306,6 +328,11 @@ class TermOrder(MonomialOrder):
 
     def __reduce__(self):
         return (TermOrder, (self.weight,))
+
+    def leading_exponent(self, f: Polynomial) -> Exponent:
+        if len(self.weight) != f.ring.nvars:
+            raise ValueError("weight length differs from the number of variables")
+        return super().leading_exponent(f)
 
     def key(self, exponent: Exponent):
         return (dot(self.weight, exponent), exponent)

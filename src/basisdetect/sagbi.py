@@ -51,6 +51,7 @@ from .polyring import (
     Polynomial,
     SubductionLimitError,
     TermOrder,
+    _add_multiple,
     _FrozenRecord,
     _Record,
     check_generators,
@@ -136,25 +137,25 @@ def _subduce(f, polys, order, matrix, cache, max_steps) -> SubductionResult:
     columns of ``matrix`` and a table of their power products, ``cache``,
     that it extends."""
     steps: list[tuple[Fraction, tuple[int, ...]]] = []
-    current = f
-    while not current.is_zero():
+    work = dict(f.terms)
+    previous = None
+    while work:
         if len(steps) >= max_steps:
             raise SubductionLimitError(
                 "subduction did not finish within %d steps" % max_steps
             )
-        lead_exp, lead_coeff = order.leading_term(current)
-        v = solve_monomial_membership(matrix, lead_exp)
+        lead = max(work, key=order.key)
+        # each step cancels the leading term, so the leads strictly decrease
+        assert previous is None or order.key(lead) < order.key(previous)
+        v = solve_monomial_membership(matrix, lead)
         if v is None:
             break
         product = _power_product(polys, v, cache)
-        scale = lead_coeff / product.terms[lead_exp]
-        nxt = current - product.scale(scale)
-        assert nxt.is_zero() or order.key(order.leading_exponent(nxt)) < order.key(
-            lead_exp
-        )
-        current = nxt
+        scale = work[lead] / product.terms[lead]
+        _add_multiple(work, -scale, None, product.terms)
         steps.append((scale, v))
-    return SubductionResult(current, steps)
+        previous = lead
+    return SubductionResult(Polynomial(f.ring, work), steps)
 
 
 def _certified_order(polys: list[Polynomial], cls: OrderClass) -> TermOrder:
@@ -171,7 +172,7 @@ def _relation_spoly(
     the exponent ``lead`` = A u = A v, cancel."""
     left = _power_product(polys, u, cache)
     right = _power_product(polys, v, cache)
-    return left - right.scale(left.terms[lead] / right.terms[lead])
+    return left._plus(-left.terms[lead] / right.terms[lead], right)
 
 
 def _relations(matrix: ExponentMatrix):
@@ -259,13 +260,7 @@ def _rank_of_polynomials(polys: list[Polynomial]) -> int:
                 pivots[lead] = {e: c * inv for e, c in row.items()}
                 rank += 1
                 break
-            factor = row[lead]
-            for e, c in pivot.items():
-                acc = row.get(e, Fraction(0)) - factor * c
-                if acc:
-                    row[e] = acc
-                else:
-                    row.pop(e, None)
+            _add_multiple(row, -row[lead], None, pivot)
     return rank
 
 

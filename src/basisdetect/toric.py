@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from itertools import combinations_with_replacement
 
-from .polyring import Exponent, _FrozenRecord
+from .polyring import Exponent, _divides, _FrozenRecord
 
 
 class ExponentMatrix(_FrozenRecord):
@@ -100,10 +100,6 @@ def _lcm(a, b, nx: int) -> tuple:
     m[0] = sum(m[1 : nx + 1])
     m[nx + 1] = sum(m[nx + 2 :])
     return tuple(m)
-
-
-def _divides(a, b) -> bool:
-    return all(p <= q for p, q in zip(a, b))
 
 
 def _shift(a, lead, tail) -> tuple:

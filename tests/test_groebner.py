@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from basisdetect import (
     TermOrder,
     buchberger,
@@ -36,6 +38,14 @@ def test_normal_form_exact_quotient():
     result = _check_division(x**2, [x], TermOrder((1, 1)))
     assert result.remainder.is_zero()
     assert result.quotients[0] == x
+
+
+def test_normal_form_rejects_divisors_of_another_ring():
+    R = ring("x", "y")
+    x, y = R.variable("x"), R.variable("y")
+    divisor = ring("x", "y", "z").variable("x")
+    with pytest.raises(ValueError, match="different rings"):
+        normal_form(x * y, [divisor], TermOrder((1, 1)))
 
 
 def test_normal_form_nothing_divisible():

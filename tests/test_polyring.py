@@ -13,6 +13,7 @@ from basisdetect import (
     initial_term,
     normalize_weight,
     ring,
+    s_polynomial,
     support,
 )
 
@@ -60,10 +61,14 @@ def test_mul_segment_support(xy):
 def test_ring_mismatch_rejected(xy):
     R, x, y = xy
     other = ring("x", "y", "z")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different rings"):
         x + other.variable("x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different rings"):
+        x - other.variable("x")
+    with pytest.raises(ValueError, match="different rings"):
         x * other.variable("z")
+    with pytest.raises(ValueError, match="different rings"):
+        s_polynomial(x * y, other.variable("x"), TermOrder((1, 1)))
 
 
 def test_initial_term_weighted(xy):
@@ -156,6 +161,16 @@ def test_term_order_rejects_bad_weights():
         TermOrder((0, 0))
     with pytest.raises(ValueError):
         TermOrder((-1, 2))
+
+
+def test_term_order_weight_must_fit_the_ring(xy):
+    R, x, y = xy
+    f = x + y**5
+    with pytest.raises(ValueError, match="weight length"):
+        initial_term(f, TermOrder((1,)))
+    with pytest.raises(ValueError, match="weight length"):
+        initial_term(f, TermOrder((0, 1, 5)))
+    assert initial_term(f, TermOrder((1, 1))) == ((0, 5), Fraction(1))
 
 
 def test_duplicate_variables_rejected():

@@ -16,19 +16,20 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-# Prints the basisdetect modules whose code has run, and every module name.
-# A module registered with importlib.util.LazyLoader has its own type until
-# its code runs, and plain ModuleType after.
+# Prints the basisdetect modules whose code has run, and every module name,
+# both taken before the probe loads json to print them.  A module registered
+# with importlib.util.LazyLoader has its own type until its code runs, and
+# plain ModuleType after.
 PROBE = """
-import json, sys, types
+import sys, types
 {run}
-print(json.dumps({{
-    "ran": sorted(
-        name for name, module in sys.modules.items()
-        if name.startswith("basisdetect") and type(module) is types.ModuleType
-    ),
-    "modules": sorted(sys.modules),
-}}))
+ran = sorted(
+    name for name, module in sys.modules.items()
+    if name.startswith("basisdetect") and type(module) is types.ModuleType
+)
+modules = sorted(sys.modules)
+import json
+print(json.dumps({{"ran": ran, "modules": modules}}))
 """
 
 RUN_COMMAND = """
@@ -77,7 +78,8 @@ def test_command_runs_only_its_layers(tmp_path, bare_modules, command):
     assert "cli" in ran and "detect" in ran and "orders" in ran
     assert not ran & NOT_RUN[command], ran
     added = set(seen["modules"]) - bare_modules
-    for heavy in ("dataclasses", "inspect"):
+    # the report is text, so json is not needed either
+    for heavy in ("dataclasses", "inspect", "json"):
         assert heavy not in added, heavy
 
 
