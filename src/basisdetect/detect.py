@@ -40,11 +40,11 @@ def _check_gb(polys: list[Polynomial], cls: OrderClass) -> bool:
 
 
 def _check_sagbi_subduction(
-    polys: list[Polynomial], max_steps: int, cls: OrderClass
+    polys: list[Polynomial], max_steps: int, shared, cls: OrderClass
 ) -> bool:
     from .sagbi import is_sagbi_subduction
 
-    return is_sagbi_subduction(polys, cls, max_steps)
+    return is_sagbi_subduction(polys, cls, max_steps, shared=shared)
 
 
 def _checked(check, classes: list[OrderClass], jobs: int):
@@ -88,15 +88,25 @@ def verdicts(
     when the iterator is closed.  'hilbert' always runs in this process:
     each class's Hilbert vector is compared with the subalgebra's Hilbert
     function, which is computed once for all classes, one degree at a time,
-    only as far as some class still agrees.
+    only as far as some class still agrees.  'subduction' in one process
+    computes the relations of each lattice ker A of lead matrices once for
+    all classes that share it (the ``shared`` keyword of
+    ``is_sagbi_subduction``).
     """
     if criterion == "buchberger":
         check = partial(_check_gb, polys)
     elif criterion == "subduction":
-        from .sagbi import _require_positive_steps
+        from .sagbi import _require_positive_steps, _SharedRelations
 
         _require_positive_steps(max_steps)
-        check = partial(_check_sagbi_subduction, polys, max_steps)
+        classes = extract_weight_vectors(polys)
+        # a serial run shares the relations of each lattice between its
+        # classes; worker processes compute their own
+        shared = None
+        if _pool_size(jobs, len(classes), os.cpu_count()) == 1:
+            shared = _SharedRelations(classes)
+        check = partial(_check_sagbi_subduction, polys, max_steps, shared)
+        return _checked(check, classes, jobs)
     elif criterion == "hilbert":
         from .sagbi import _resolve_hilbert_bound, _subalgebra_matcher, hilbert_vector
 

@@ -9,6 +9,8 @@ gives the class answer.
 from __future__ import annotations
 
 import heapq
+from math import gcd, lcm
+from operator import mul, sub
 
 from .polyring import Exponent, MonomialOrder, Polynomial, _Record, check_generators
 from .polyring import _add_multiple, _divides
@@ -23,16 +25,16 @@ class DivisionResult(_Record):
 
 
 def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _cofactor(a: Exponent, b: Exponent) -> Exponent:
     """The exponent of x^a / x^b (x^b must divide x^a)."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _coprime(a: Exponent, b: Exponent) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(mul, a, b))
 
 
 def normal_form(
@@ -88,21 +90,68 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return Polynomial(f.ring, terms)
 
 
+def _primitive_terms(f: Polynomial, lead: Exponent) -> dict:
+    """The terms of f times the rational number that makes them coprime
+    integers with a positive coefficient at ``lead``."""
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    terms = {e: int(c * scale) for e, c in f.terms.items()}
+    content = gcd(*terms.values()) if terms[lead] > 0 else -gcd(*terms.values())
+    return {e: c // content for e, c in terms.items()}
+
+
+def _reduces_to_zero(work: dict, divisors: list, key) -> bool:
+    """Whether division of the integer term dict ``work`` by the primitive
+    ``divisors`` ((lead, terms) pairs, positive leading coefficients) ends
+    in remainder zero; ``work`` is consumed.
+
+    Each step is work = a * work - b * x^s * g, divided by its content,
+    with the first divisor g whose lead divides that of work.  Scaling by
+    a nonzero integer changes no exponent, so the leads are those of
+    ``normal_form``; they strictly decrease, so a lead that no divisor's
+    lead divides would stay in the remainder, and the answer is False at
+    once.
+    """
+    while work:
+        lead = max(work, key=key)
+        for glead, g in divisors:
+            if _divides(glead, lead):
+                break
+        else:
+            return False
+        common = gcd(work[lead], g[glead])
+        a, b = g[glead] // common, work[lead] // common
+        for e in work:
+            work[e] *= a
+        _add_multiple(work, -b, _cofactor(lead, glead), g)
+        content = gcd(*work.values())
+        for e in work:
+            work[e] //= content
+    return True
+
+
 def is_groebner_basis(polys: list[Polynomial], order: MonomialOrder) -> bool:
     """Buchberger's S-pair criterion for a fixed total order.
 
     Pairs with coprime leading exponents are skipped (product criterion).
+    The S-pairs and their reductions are computed on the generators made
+    primitive over the integers, and the check stops at the first S-pair
+    that does not reduce to zero.
     """
     check_generators(polys)
-    leads = [order.leading_exponent(f) for f in polys]
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if _coprime(leads[i], leads[j]):
+    divisors = []
+    for f in polys:
+        lead = order.leading_exponent(f)
+        divisors.append((lead, _primitive_terms(f, lead)))
+    for i, (ilead, f) in enumerate(divisors):
+        for jlead, g in divisors[i + 1 :]:
+            if _coprime(ilead, jlead):
                 continue
-            spoly = s_polynomial(polys[i], polys[j], order)
-            if spoly.is_zero():
-                continue
-            if not normal_form(spoly, polys, order).remainder.is_zero():
+            m = _exp_lcm(ilead, jlead)
+            common = gcd(f[ilead], g[jlead])
+            spair: dict = {}
+            _add_multiple(spair, g[jlead] // common, _cofactor(m, ilead), f)
+            _add_multiple(spair, -(f[ilead] // common), _cofactor(m, jlead), g)
+            if not _reduces_to_zero(spair, divisors, order.key):
                 return False
     return True
 
@@ -110,20 +159,23 @@ def is_groebner_basis(polys: list[Polynomial], order: MonomialOrder) -> bool:
 def buchberger(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
     """A reduced Groebner basis of the ideal generated by the input.
 
-    Plain Buchberger with the product (coprime-lead) criterion; the pair
-    queue is keyed by lcm total degree then lcm, so output is deterministic.
-    The final basis is inter-reduced and monic, sorted by leading exponent.
+    Plain Buchberger with the product (coprime-lead) and chain criteria;
+    the pair queue is keyed by lcm total degree then lcm, so output is
+    deterministic.  The final basis is inter-reduced and monic, sorted by
+    leading exponent.
     """
     check_generators(polys)
     basis = list(polys)
     leads = [order.leading_exponent(f) for f in basis]
     queue: list = []
+    pending: set = set()
     for i in range(len(basis)):
         for j in range(i):
-            _push_pair(queue, leads, j, i)
+            _push_pair(queue, pending, leads, j, i)
     while queue:
-        _, _, i, j = heapq.heappop(queue)
-        if _coprime(leads[i], leads[j]):
+        _, lcm_exp, i, j = heapq.heappop(queue)
+        pending.discard((i, j))
+        if _coprime(leads[i], leads[j]) or _chain(leads, pending, i, j, lcm_exp):
             continue
         spoly = s_polynomial(basis[i], basis[j], order)
         if spoly.is_zero():
@@ -136,13 +188,32 @@ def buchberger(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial
         leads.append(order.leading_exponent(remainder))
         new = len(basis) - 1
         for k in range(new):
-            _push_pair(queue, leads, k, new)
+            _push_pair(queue, pending, leads, k, new)
     return interreduce(basis, order)
 
 
-def _push_pair(queue, leads, i, j):
+def _push_pair(queue, pending, leads, i, j):
     lcm_exp = _exp_lcm(leads[i], leads[j])
     heapq.heappush(queue, (sum(lcm_exp), lcm_exp, i, j))
+    pending.add((i, j))
+
+
+def _chain(leads, pending, i, j, lcm_exp) -> bool:
+    """Buchberger's chain criterion: a third lead divides the lcm of the
+    leads of i and j while its pairs with i and with j are no longer
+    pending.  As in Gebauer and Moeller's criterion B, the third lead's
+    lcm with each of the two must differ from that lcm (which also rules
+    out i and j themselves): skipping the pairs that fail only this test
+    sent the coefficients of one small random system to about 10^45000
+    on the way to the same basis."""
+    return any(
+        _divides(lead, lcm_exp)
+        and _exp_lcm(lead, leads[i]) != lcm_exp
+        and _exp_lcm(lead, leads[j]) != lcm_exp
+        and (min(i, k), max(i, k)) not in pending
+        and (min(j, k), max(j, k)) not in pending
+        for k, lead in enumerate(leads)
+    )
 
 
 def interreduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:

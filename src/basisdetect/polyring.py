@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, le
 
 Exponent = tuple[int, ...]
 
@@ -262,7 +262,7 @@ def _add_multiple(terms: dict, factor, shift, other: dict) -> None:
 
 def _divides(a: Exponent, b: Exponent) -> bool:
     """Whether the monomial x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def normalize_weight(entries) -> tuple[int, ...]:
@@ -360,11 +360,14 @@ def initial_form(f: Polynomial, weight) -> Polynomial:
     """Sum of all terms of f whose weight dot product is maximal.
 
     Unlike ``initial_term`` this uses the weight alone (no lex refinement),
-    so the result need not be a monomial.
+    so the result need not be a monomial.  The weight needs one entry per
+    variable, as in ``TermOrder``.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no initial form")
     w = tuple(int(e) for e in weight)
+    if len(w) != f.ring.nvars:
+        raise ValueError("weight length differs from the number of variables")
     best = max(dot(w, e) for e in f.terms)
     return Polynomial(
         f.ring, {e: c for e, c in f.terms.items() if dot(w, e) == best}

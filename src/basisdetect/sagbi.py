@@ -18,7 +18,9 @@ The subduction criterion makes one pass per class: one matrix of leading
 exponents and one product table serve every lift and every subduction
 of the class.  Its relations come from one stream, those of degree <= 3
 first and then the generating set of the relation ideal, which is
-computed only once every low relation has subduced to zero.
+computed only once every low relation has subduced to zero.  The
+relations depend only on the lattice ker A of the lead matrix A, so in
+one run of ``detect.verdicts`` the classes of one lattice share a stream.
 
 The Hilbert criterion compares two functions of the degree.  The Hilbert
 function of the algebra of leading monomials depends on the class:
@@ -58,6 +60,7 @@ from .polyring import (
 )
 from .toric import (
     ExponentMatrix,
+    _lattice_key,
     relations_up_to_degree,
     solve_monomial_membership,
     toric_ideal_generators,
@@ -175,22 +178,61 @@ def _relation_spoly(
     return left._plus(-left.terms[lead] / right.terms[lead], right)
 
 
-def _relations(matrix: ExponentMatrix):
+class _SharedRelations:
+    """The relation streams of one run, shared by the classes whose lead
+    matrices have the same lattice ker A.
+
+    The relations of a matrix depend only on ker A (see
+    ``toric._lattice_key``), so a stream is stored only for a lattice that
+    two or more of the run's classes share, and dropped when the last of
+    them takes it.  A stream is ``[low, rest]``: the relations of degree
+    <= 3 and the generating-set binomials not among them, each list
+    computed by the first class that reaches it.  Each class's key is
+    computed once, here, and kept only for the shared lattices.
+    """
+
+    def __init__(self, classes: list[OrderClass]):
+        keys = {cls.leads: _lattice_key(ExponentMatrix(cls.leads)) for cls in classes}
+        counts: dict = {}
+        for key in keys.values():
+            counts[key] = counts.get(key, 0) + 1
+        self._waiting = {key: n for key, n in counts.items() if n > 1}
+        self._keys = {leads: k for leads, k in keys.items() if k in self._waiting}
+        self._streams: dict = {}
+
+    def take(self, matrix: ExponentMatrix) -> list:
+        """The stream of the lattice of ``matrix``, for the one class whose
+        lead matrix it is."""
+        key = self._keys.pop(matrix.columns, None)
+        if key is None:
+            return [None, None]
+        if self._waiting[key] == 1:
+            del self._waiting[key]
+            return self._streams.pop(key, [None, None])
+        self._waiting[key] -= 1
+        return self._streams.setdefault(key, [None, None])
+
+
+def _relations(matrix: ExponentMatrix, stream: list):
     """The relations whose lifts the criterion subduces: those of degree
     <= 3 first, then the generating-set binomials not among them.  The
-    generating set is computed only when every low relation was taken."""
-    low = relations_up_to_degree(matrix, 3)
-    yield from low
-    seen = set(low)
-    for binomial in toric_ideal_generators(matrix):
-        if binomial not in seen:
-            yield binomial
+    generating set is computed only when every low relation was taken.
+    ``stream`` holds the two lists once computed, for other classes of
+    the same lattice."""
+    if stream[0] is None:
+        stream[0] = relations_up_to_degree(matrix, 3)
+    yield from stream[0]
+    if stream[1] is None:
+        seen = set(stream[0])
+        stream[1] = [b for b in toric_ideal_generators(matrix) if b not in seen]
+    yield from stream[1]
 
 
 def _sagbi_failure_witness(
     polys: list[Polynomial],
     cls: OrderClass,
     max_steps: int = DEFAULT_SUBDUCTION_CAP,
+    shared: _SharedRelations | None = None,
 ) -> Polynomial | None:
     """First lifted relation whose subduction remainder is nonzero, if any.
 
@@ -198,15 +240,20 @@ def _sagbi_failure_witness(
     basis property, so cheap low-degree relations are tried before the
     full elimination-based generating set is computed.  The class's
     leading exponents and one product table serve every lift and every
-    subduction.
+    subduction; the relations come from ``shared`` when other classes of
+    the run have the same lattice, and each is checked against this
+    class's matrix.
     """
     check_generators(polys)
     _require_positive_steps(max_steps)
     order = _certified_order(polys, cls)
     matrix = ExponentMatrix(cls.leads)
+    stream = [None, None] if shared is None else shared.take(matrix)
     cache: dict = {}
-    for binomial in _relations(matrix):
+    for binomial in _relations(matrix, stream):
         lead = matrix.apply(binomial.u)
+        if matrix.apply(binomial.v) != lead:
+            raise AssertionError("relation of another lattice")
         spoly = _relation_spoly(polys, binomial.u, binomial.v, lead, cache)
         result = _subduce(spoly, polys, order, matrix, cache, max_steps)
         if not result.remainder.is_zero():
@@ -218,10 +265,14 @@ def is_sagbi_subduction(
     polys: list[Polynomial],
     cls: OrderClass,
     max_steps: int = DEFAULT_SUBDUCTION_CAP,
+    *,
+    shared: _SharedRelations | None = None,
 ) -> bool:
     """Subduction criterion: every lifted generating relation of the
-    leading monomials must subduce to zero."""
-    return _sagbi_failure_witness(polys, cls, max_steps) is None
+    leading monomials must subduce to zero.  ``shared`` is the run's
+    ``_SharedRelations``, which ``detect.verdicts`` builds; without it the
+    class computes its own relations."""
+    return _sagbi_failure_witness(polys, cls, max_steps, shared) is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ with the product and chain criteria to skip pairs.
 
 ``relations_up_to_degree`` lists the relations of low degree directly: the
 column multisets up to that size, from ``combinations_with_replacement``,
-grouped by the sum of their columns.
+grouped by the sum of their columns.  Both lists depend only on the
+lattice ker A, which ``_lattice_key`` names by a canonical basis of A's
+row space.
 
 ``solve_monomial_membership`` decides whether a monomial x^b lies in the
 multiplicative monoid generated by the x^alpha_i, i.e. solves A v = b over
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations_with_replacement
+from math import gcd
 
 from .polyring import Exponent, _divides, _FrozenRecord
 
@@ -247,6 +250,43 @@ def toric_ideal_generators(matrix: ExponentMatrix) -> list[ToricBinomial]:
             raise AssertionError("elimination produced a non-relation")
         out.append(ToricBinomial(u, v))
     return out
+
+
+def _primitive_row(row, pivot: int) -> list[int]:
+    content = gcd(*row)
+    if row[pivot] < 0:
+        content = -content
+    return [x // content for x in row]
+
+
+def _lattice_key(matrix: ExponentMatrix) -> tuple:
+    """The row space of A as a canonical integer basis, with A's column
+    count: fraction-free Gauss-Jordan elimination, each row primitive with
+    a positive pivot, rows sorted by pivot column.
+
+    Every row is a positive multiple of a row of the rational reduced row
+    echelon form, so two keys are equal exactly when the row spaces are,
+    that is when ker A is.  The relations of A depend only on ker A, so
+    ``relations_up_to_degree`` and ``toric_ideal_generators`` (a reduced
+    Groebner basis, which is unique) return the same lists for equal keys.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column -> row
+    for row in zip(*matrix.columns):
+        for k, other in basis.items():
+            if row[k]:
+                a, b = other[k], row[k]
+                row = [a * x - b * y for x, y in zip(row, other)]
+        pivot = next((k for k, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        row = _primitive_row(row, pivot)
+        for k, other in basis.items():
+            if other[pivot]:
+                a, b = row[pivot], other[pivot]
+                reduced = [a * x - b * y for x, y in zip(other, row)]
+                basis[k] = _primitive_row(reduced, k)
+        basis[pivot] = row
+    return matrix.ncols, tuple(tuple(basis[k]) for k in sorted(basis))
 
 
 def relations_up_to_degree(matrix: ExponentMatrix, max_degree: int) -> list[ToricBinomial]:

@@ -444,9 +444,9 @@ def test_universal_stops_at_first_failing_class(tmp_path, capsys, monkeypatch):
     assert first_failure + 1 < len(classes)
     checked = []
 
-    def counting(polys, cls, max_steps):
+    def counting(polys, cls, max_steps, **kwargs):
         checked.append(cls)
-        return is_sagbi_subduction(polys, cls, max_steps)
+        return is_sagbi_subduction(polys, cls, max_steps, **kwargs)
 
     monkeypatch.setattr(sagbi, "is_sagbi_subduction", counting)
     path = write_system(tmp_path, F)

@@ -17,6 +17,7 @@ from basisdetect import (
     weight_vectors_realizing_gb,
 )
 
+import groebner_oracle
 import systems
 
 
@@ -189,3 +190,41 @@ def test_class_invariance_of_criterion():
                         assert is_groebner_basis(F, order) == verdict
                         alternates += 1
         assert alternates > 0
+
+
+def _sullivant_talaska_pair(second):
+    def make():
+        F = systems.sullivant_talaska_c4()
+        return [F[0], F[second]]
+
+    return make
+
+
+ORACLE_SYSTEMS = {
+    "minors_2x2_of_3x3": systems.minors_2x2_of_3x3,
+    "grassmannian_2_4": systems.grassmannian_2_4,
+    "three_surfaces": systems.three_surfaces,
+    "sullivant_talaska_1_2": _sullivant_talaska_pair(1),
+    "sullivant_talaska_1_3": _sullivant_talaska_pair(2),
+}
+
+
+@pytest.mark.parametrize("make", ORACLE_SYSTEMS.values(), ids=ORACLE_SYSTEMS.keys())
+def test_criterion_matches_oracle_on_every_class(make):
+    F = make()
+    classes = extract_weight_vectors(F)
+    assert classes
+    for cls in classes:
+        order = cls.order()
+        assert is_groebner_basis(F, order) == groebner_oracle.is_groebner_basis(
+            F, order
+        ), cls
+
+
+def test_criterion_checks_every_generator():
+    R = ring("x", "y")
+    x, y = R.variable("x"), R.variable("y")
+    with pytest.raises(ValueError, match="weight length"):
+        is_groebner_basis([x + y, x * y], TermOrder((1,)))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        is_groebner_basis([x, R.zero()], TermOrder((1, 1)))

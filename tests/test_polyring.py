@@ -173,6 +173,17 @@ def test_term_order_weight_must_fit_the_ring(xy):
     assert initial_term(f, TermOrder((1, 1))) == ((0, 5), Fraction(1))
 
 
+def test_initial_form_weight_must_fit_the_ring(xy):
+    # a short weight was zipped away: (1,) gave x and (0, 1, 5) gave y^5
+    R, x, y = xy
+    f = x + y**5
+    with pytest.raises(ValueError, match="weight length"):
+        initial_form(f, (1,))
+    with pytest.raises(ValueError, match="weight length"):
+        initial_form(f, (0, 1, 5))
+    assert initial_form(f, (5, 1)) == x + y**5
+
+
 def test_duplicate_variables_rejected():
     with pytest.raises(ValueError):
         PolynomialRing(("x", "x"))

@@ -43,6 +43,7 @@ from basisdetect.sagbi import (
     _sagbi_failure_witness,
 )
 
+import groebner_oracle
 import hilbert_oracle
 import systems
 
@@ -349,6 +350,32 @@ def test_buchberger_output_passes_criterion_50():
         # inputs reduce to zero against their own completion
         for f in gens:
             assert normal_form(f, basis, order).remainder.is_zero()
+
+
+def test_criterion_matches_oracle_on_random_systems():
+    # the integer check that stops at the first irreducible lead against
+    # the Fraction S-pair loop; half the systems are completed (scaled by
+    # random rationals) so that both verdicts occur
+    rng = random.Random(20240914)
+    found = []
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        gens = [
+            random_polynomial(rng, nvars, max_degree=2, max_terms=3)
+            for _ in range(rng.randint(1, 3))
+        ]
+        order = random_order(rng, nvars)
+        if rng.random() < 0.5:
+            gens = [
+                g.scale(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+                for g in buchberger(gens, order)
+            ]
+            if rng.random() < 0.5:
+                gens.append(random_polynomial(rng, nvars, max_degree=2, max_terms=3))
+        ok = is_groebner_basis(gens, order)
+        assert ok == groebner_oracle.is_groebner_basis(gens, order), (gens, order)
+        found.append(ok)
+    assert found.count(True) >= 50 and found.count(False) >= 50
 
 
 def test_ring_axioms_randomized():

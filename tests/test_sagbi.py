@@ -24,7 +24,8 @@ from basisdetect import (
 )
 from basisdetect.orders import LatticePolytope, OrderClass
 from basisdetect.polyring import dot
-from basisdetect.sagbi import _power_product, _sagbi_failure_witness
+from basisdetect.sagbi import _power_product, _sagbi_failure_witness, _SharedRelations
+from basisdetect.toric import ToricBinomial, _lattice_key
 from basisdetect.orders import normalized_volume, polytope_dim
 
 import systems
@@ -155,6 +156,47 @@ def test_generating_set_only_after_low_relations(monkeypatch):
     monkeypatch.setattr("basisdetect.sagbi.toric_ideal_generators", counting)
     assert is_sagbi_subduction(F, green)
     assert calls == [ExponentMatrix(green.leads)]
+
+
+def test_classes_of_one_lattice_share_their_relations(monkeypatch):
+    # Gr(2,4) has 24 classes but 3 lattices ker A: the generating set is
+    # computed once per lattice, and the run keeps no stream at its end
+    F = systems.grassmannian_2_4()
+    classes = extract_weight_vectors(F)
+    keys = {_lattice_key(ExponentMatrix(cls.leads)) for cls in classes}
+    assert (len(classes), len(keys)) == (24, 3)
+    expected = [(cls, is_sagbi_subduction(F, cls)) for cls in classes]
+
+    calls = []
+
+    def counting(matrix):
+        calls.append(_lattice_key(matrix))
+        return toric_ideal_generators(matrix)
+
+    runs = []
+
+    def recording(classes):
+        runs.append(_SharedRelations(classes))
+        return runs[-1]
+
+    monkeypatch.setattr("basisdetect.sagbi.toric_ideal_generators", counting)
+    monkeypatch.setattr("basisdetect.sagbi._SharedRelations", recording)
+    assert list(verdicts(F, "subduction")) == expected
+    assert len(calls) == len(set(calls)) == 3
+    assert len(runs) == 1
+    assert runs[0]._streams == runs[0]._waiting == runs[0]._keys == {}
+    assert list(verdicts(F, "subduction", jobs=2)) == expected
+
+
+def test_shared_stream_is_checked_against_each_class():
+    # a stream handed to a class of another lattice is refused
+    F, green, _ = _green_red()
+    shared = _SharedRelations([])
+    shared._keys[green.leads] = "lattice"
+    shared._waiting["lattice"] = 2
+    shared._streams["lattice"] = [[ToricBinomial((0, 1, 0), (0, 0, 1))], None]
+    with pytest.raises(AssertionError, match="another lattice"):
+        is_sagbi_subduction(F, green, shared=shared)
 
 
 def test_is_sagbi_two_cones():

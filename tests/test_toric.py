@@ -1,7 +1,10 @@
 """Tests for the relation ideal and nonnegative integer membership."""
 
 import gc
+import math
+import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -19,9 +22,10 @@ from basisdetect import (
     ring,
     solve_monomial_membership,
     toric_ideal_generators,
+    verdicts,
 )
 from basisdetect.sagbi import _subalgebra_matcher
-from basisdetect.toric import relations_up_to_degree
+from basisdetect.toric import _lattice_key, relations_up_to_degree
 
 import systems
 
@@ -146,6 +150,109 @@ def test_generators_generate_low_degree_relations():
         assert normal_form(rel, basis, order).remainder.is_zero()
 
 
+# ---------------------------------------------------------------------------
+# lattice key: the row space of A, which fixes ker A and so the relations
+
+
+def _rref(rows):
+    """The nonzero rows of the reduced row echelon form, over Q."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    out = []
+    for k in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[k]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [x / pivot[k] for x in pivot]
+        rows = [[x - row[k] * p for x, p in zip(row, pivot)] for row in rows]
+        out = [[x - row[k] * p for x, p in zip(row, pivot)] for row in out]
+        out.append(pivot)
+    return tuple(tuple(row) for row in out)
+
+
+def _primitive_rows(rref):
+    out = []
+    for row in rref:
+        scale = math.lcm(*(x.denominator for x in row))
+        ints = [int(x * scale) for x in row]
+        content = math.gcd(*ints)
+        out.append(tuple(x // content for x in ints))
+    return tuple(out)
+
+
+def _random_rows(rng, nrows, ncols, top):
+    rows = [[rng.randint(0, top) for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.3:  # a zero column
+        k = rng.randrange(ncols)
+        for row in rows:
+            row[k] = 0
+    if rng.random() < 0.3:  # a zero row
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if nrows > 1 and rng.random() < 0.3:  # rank deficient
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[-2])]
+    return rows
+
+
+def _matrix(rows):
+    return ExponentMatrix(list(zip(*rows)))
+
+
+def test_lattice_key_is_the_primitive_rref():
+    rng = random.Random(20260419)
+    for _ in range(300):
+        rows = _random_rows(rng, rng.randint(1, 4), rng.randint(1, 5), 3)
+        key = _lattice_key(_matrix(rows))
+        assert key == (len(rows[0]), _primitive_rows(_rref(rows))), rows
+
+
+def test_lattice_key_equal_exactly_when_rref_equal():
+    rng = random.Random(20260420)
+    equal = 0
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 3), rng.randint(2, 3)
+        a, b = (_random_rows(rng, nrows, ncols, 1) for _ in range(2))
+        same = _lattice_key(_matrix(a)) == _lattice_key(_matrix(b))
+        assert same == (_rref(a) == _rref(b)), (a, b)
+        equal += same
+    assert equal >= 40
+
+
+def test_same_row_space_same_key_and_relations():
+    # permuted rows, a scaled row, an appended combination of rows: the row
+    # space, ker A and so both relation lists stay the same
+    rng = random.Random(20260421)
+    nonempty = 0
+    for _ in range(150):
+        rows = _random_rows(rng, rng.randint(1, 3), rng.randint(1, 5), 2)
+        other = [list(row) for row in rows]
+        rng.shuffle(other)
+        k = rng.randrange(len(other))
+        factor = rng.randint(2, 4)
+        other[k] = [factor * x for x in other[k]]
+        weights = [rng.randint(0, 2) for _ in other]
+        other.append([sum(w * x for w, x in zip(weights, col)) for col in zip(*other)])
+        A, B = _matrix(rows), _matrix(other)
+        assert _lattice_key(A) == _lattice_key(B), (rows, other)
+        assert relations_up_to_degree(A, 3) == relations_up_to_degree(B, 3)
+        gens = toric_ideal_generators(A)
+        assert gens == toric_ideal_generators(B), (rows, other)
+        nonempty += bool(gens)
+    assert nonempty >= 50
+
+
+def test_lattice_key_on_sullivant_talaska_classes():
+    # lead matrices with zero rows (variables in no lead) and repeated
+    # columns; a row that reduces to zero has content 0
+    classes = extract_weight_vectors(systems.sullivant_talaska_c4())
+    for cls in classes:
+        matrix = ExponentMatrix(cls.leads)
+        rows = list(zip(*matrix.columns))
+        assert _lattice_key(matrix) == (
+            matrix.ncols,
+            _primitive_rows(_rref(rows)),
+        )
+
+
 def _grassmannian_2_4_first_class():
     polys = systems.grassmannian_2_4()
     return polys, extract_weight_vectors(polys)[0]
@@ -181,6 +288,9 @@ _CYCLE_FREE_CALLS = {
     "hilbert_vector": lambda: hilbert_vector(*_grassmannian_2_4_first_class(), 6),
     "is_sagbi_hilbert": _hilbert_criterion_quietly,
     "is_sagbi_subduction": _subduction_criterion_two_cones,
+    "shared_relations": lambda: list(
+        verdicts(systems.grassmannian_2_4(), "subduction")
+    ),
     "relations_up_to_degree": lambda: relations_up_to_degree(
         ExponentMatrix([(2, 0), (1, 1), (0, 2), (3, 1)]), 3
     ),
