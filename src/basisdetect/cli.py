@@ -15,22 +15,24 @@ multiplication, parentheses, unary minus, and integer or rational literals
 whose total degree (or exponent) would exceed MAX_DEGREE, or whose operand
 term counts multiply to more than MAX_TERMS, is a parse error.
 
-Exit codes: 0 on success, 1 when a detect command finds no classes, 2 on
-input or option errors and when a computation hits a resource limit
-(subduction step cap, recursion depth).  Reports go to stdout,
-diagnostics to stderr.
+Exit codes: 0 on success (and for ``-h``), 1 when a detect command finds
+no classes, 2 on usage, input or option errors, when a computation hits a
+resource limit (subduction step cap, recursion depth), and on an output
+error such as a closed stdout.  Reports go to stdout, diagnostics to
+stderr; a usage error prints a ``usage:`` line and
+``basisdetect: error: <reason>``.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import re
 import sys
 import warnings
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
-from .detect import verdicts
 from .orders import OrderClass, extract_weight_vectors
 from .polyring import (
     HilbertBoundWarning,
@@ -226,7 +228,9 @@ def parse_expression(text: str, line: int, ring: PolynomialRing) -> Polynomial:
 
 
 def parse_system(text: str) -> tuple[SystemFile, list[Polynomial]]:
-    """Parse a system file into its header and polynomials."""
+    """Parse a system file into its header and polynomials.  One leading
+    byte-order mark (U+FEFF), as some editors write it, is dropped."""
+    text = text.removeprefix("\ufeff")
     variables: list[str] | None = None
     options: dict = {}
     expressions: list[tuple[int, str]] = []
@@ -298,8 +302,9 @@ def _emit(report: dict, fmt: str, out) -> None:
     if fmt == "json":
         import json  # only here: a text report need not load it
 
-        json.dump(report, out, indent=2)
-        out.write("\n")
+        # one write: json.dump writes token by token, and with an
+        # unbuffered stdout each of those writes is a system call
+        out.write(json.dumps(report, indent=2) + "\n")
         return
     lines = []
     if "classes" in report:
@@ -402,6 +407,8 @@ def run(args) -> int:
                     _group_entry(ring, args.criterion, g) for g in groups
                 ]
             else:
+                from .detect import verdicts
+
                 report["method"] = COMMAND_CRITERION.get(command, args.method)
                 checked = verdicts(
                     polys, report["method"], bound=args.hilbert_bound, jobs=args.jobs
@@ -431,58 +438,211 @@ def run(args) -> int:
         return 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="basisdetect",
-        description="Detect the term orders for which a polynomial set is a "
-        "Groebner or SAGBI basis.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "detect-gb": "term-order classes where the set is a Groebner basis",
-        "detect-sagbi": "term-order classes where the set is a SAGBI basis",
-        "classes": "all term-order equivalence classes of the set",
-        "universal-gb": "is the set a Groebner basis for every term order?",
-        "universal-sagbi": "is the set a SAGBI basis for every term order?",
-        "rank": "rank the term-order classes by a closeness criterion",
-    }
-    for name, help_text in commands.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--input", required=True, help="system file, or - for stdin")
-        cmd.add_argument("--format", choices=("text", "json"), default="text")
-        cmd.add_argument(
-            "--method",
-            choices=("subduction", "hilbert"),
-            default="subduction",
-            help="SAGBI membership criterion (detect-sagbi only)",
-        )
-        cmd.add_argument(
-            "--hilbert-bound",
-            type=int,
-            default=None,
-            metavar="N",
-            help="degree cap for Hilbert comparisons",
-        )
-        cmd.add_argument(
-            "--homogenize-t",
-            action="store_true",
-            help="multiply every input polynomial by a new first variable t",
-        )
-        cmd.add_argument(
-            "--criterion",
-            choices=("preferable", "nicer"),
-            default="nicer",
-            help="ranking criterion (rank only)",
-        )
-        cmd.add_argument(
-            "--jobs", type=int, default=1, metavar="N", help="parallel class checks"
-        )
-    return parser
+# ---------------------------------------------------------------------------
+# command line
+
+DESCRIPTION = (
+    "Detect the term orders for which a polynomial set is a Groebner or "
+    "SAGBI basis."
+)
+USAGE = "usage: basisdetect COMMAND --input FILE [OPTION ...]"
+
+COMMANDS = {
+    "detect-gb": "term-order classes where the set is a Groebner basis",
+    "detect-sagbi": "term-order classes where the set is a SAGBI basis",
+    "classes": "all term-order equivalence classes of the set",
+    "universal-gb": "is the set a Groebner basis for every term order?",
+    "universal-sagbi": "is the set a SAGBI basis for every term order?",
+    "rank": "rank the term-order classes by a closeness criterion",
+}
+
+# option -> (value, default, help); the value is int, str, a tuple of the
+# accepted words, or None for a flag that takes no value.  Every command
+# takes every option; --input is required.
+OPTIONS = {
+    "--input": (str, None, "system file, or - for stdin (required)"),
+    "--format": (("text", "json"), "text", "report format"),
+    "--method": (
+        ("subduction", "hilbert"),
+        "subduction",
+        "SAGBI membership criterion (detect-sagbi only)",
+    ),
+    "--hilbert-bound": (int, None, "degree cap for Hilbert comparisons"),
+    "--homogenize-t": (
+        None,
+        False,
+        "multiply every input polynomial by a new first variable t",
+    ),
+    "--criterion": (
+        ("preferable", "nicer"),
+        "nicer",
+        "ranking criterion (rank only)",
+    ),
+    "--jobs": (int, 1, "parallel class checks"),
+}
+HELP = ("-h", "--help")
+METAVAR = {str: "FILE", int: "N"}
+
+# a token that starts with '-' is still a value when it is a negative
+# number or contains a space (as the standard library's parser reads it);
+# compiled only when such a token comes up
+NEGATIVE_NUMBER = r"-\d+$|-\d*\.\d+$"
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(args)
+class UsageError(ValueError):
+    """A command line that does not follow the grammar of ``parse_args``."""
+
+
+def _option(token: str, names) -> tuple[str, str | None] | None:
+    """How ``parse_args`` reads one token, given the option names in scope.
+
+    None for a value; otherwise the full option name (empty for an unknown
+    option) and the value attached with '=', or None when there is none.
+    A long option may be shortened to any prefix that no other option
+    name shares.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    key, eq, attached = token.partition("=")
+    if eq and key in names:
+        return key, attached
+    if token.startswith("--"):
+        matches = [name for name in names if name.startswith(key)]
+        if len(matches) > 1:
+            raise UsageError(
+                "ambiguous option: %s could match %s" % (token, ", ".join(matches))
+            )
+        if matches:
+            return matches[0], attached if eq else None
+    elif token[:2] in names:  # a short option with text attached
+        return token[:2], token[2:]
+    if " " in token or re.match(NEGATIVE_NUMBER, token):
+        return None
+    return "", None
+
+
+def _value(name: str, kind, text: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise UsageError(
+                "argument %s: invalid choice: %r (choose from %s)"
+                % (name, text, ", ".join(map(repr, kind)))
+            )
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(
+            "argument %s: invalid %s value: %r" % (name, kind.__name__, text)
+        ) from None
+
+
+def _refuse_attached(name: str, attached: str | None) -> None:
+    if attached is not None:
+        raise UsageError(
+            "argument %s: ignored explicit argument %r" % (name, attached)
+        )
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The fields of one command line, or None when it asks for help.
+
+    Grammar: the command comes first, then options in any order, each
+    as ``--opt value`` or ``--opt=value`` (a flag takes no value); a long
+    option may be shortened to a unique prefix, and the last of repeated
+    options wins.  ``-h`` or ``--help`` asks for help unless an error comes
+    before it.  Raises ``UsageError`` otherwise.
+    """
+    extras = []
+    for i, token in enumerate(argv):
+        # before the command, help is the only option
+        option = None if token == "--" else _option(token, HELP)
+        if option is None:
+            break
+        if option[0]:
+            _refuse_attached(*option)
+            return None
+        extras.append(token)
+    else:
+        raise UsageError("the following arguments are required: command")
+    command, rest = argv[i], argv[i + 1 :]
+    if command not in COMMANDS:
+        raise UsageError(
+            "argument command: invalid choice: %r (choose from %s)"
+            % (command, ", ".join(map(repr, COMMANDS)))
+        )
+    # the grammar has no '--' separator: it and all that follows are stray
+    end = rest.index("--") if "--" in rest else len(rest)
+    readings = [_option(token, (*HELP, *OPTIONS)) for token in rest[:end]]
+    extras += rest[end:]
+    values = {name: spec[1] for name, spec in OPTIONS.items()}
+    j = 0
+    while j < end:
+        token, option = rest[j], readings[j]
+        j += 1
+        if option is None or not option[0]:
+            extras.append(token)
+            continue
+        name, attached = option
+        kind = OPTIONS[name][0] if name in OPTIONS else None
+        if kind is None:
+            _refuse_attached(name, attached)
+            if name in HELP:
+                return None
+            values[name] = True
+            continue
+        if attached is None:
+            if j == end or readings[j] is not None:
+                raise UsageError("argument %s: expected one argument" % name)
+            attached = rest[j]
+            j += 1
+        values[name] = _value(name, kind, attached)
+    if values["--input"] is None:
+        raise UsageError("the following arguments are required: --input")
+    if extras:
+        raise UsageError("unrecognized arguments: %s" % " ".join(extras))
+    fields = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, **fields)
+
+
+def _help() -> str:
+    lines = [USAGE, "", DESCRIPTION, "", "commands:"]
+    lines += ["  %-17s %s" % row for row in COMMANDS.items()]
+    lines += ["", "options:", "  %s\n      show this help" % ", ".join(HELP)]
+    for name, (kind, default, text) in OPTIONS.items():
+        if isinstance(kind, tuple):
+            name += " {%s}" % ",".join(kind)
+        elif kind is not None:
+            name += " " + METAVAR[kind]
+        default = " (default: %s)" % default if default else ""
+        lines.append("  %s\n      %s%s" % (name, text, default))
+    return "\n".join(lines) + "\n"
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default); returns the
+    exit code."""
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        sys.stderr.write("%s\nbasisdetect: error: %s\n" % (USAGE, exc))
+        return 2
+    try:
+        if args is None:
+            sys.stdout.write(_help())
+            code = 0
+        else:
+            code = run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader has closed stdout; point it at devnull so that the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("output error: %s\n" % exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -49,32 +49,42 @@ def normal_form(
     Leading exponents strictly decrease, so each quotient term is written
     once.
     """
-    ring = f.ring
-    info = []
     for g in divisors:
         f._check_ring(g)
         if g.is_zero():
             raise ValueError("zero divisor")
-        info.append(order.leading_term(g))
     quotients = [dict() for _ in divisors]
+    remainder = _remainder(f, [_divisor(g, order) for g in divisors], order, quotients)
+    return DivisionResult([Polynomial(f.ring, q) for q in quotients], remainder)
+
+
+def _divisor(g: Polynomial, order: MonomialOrder) -> tuple:
+    """g as ``_remainder`` takes it: (lead exponent, lead coefficient,
+    terms)."""
+    return (*order.leading_term(g), g.terms)
+
+
+def _remainder(f, divisors, order, quotients=None) -> Polynomial:
+    """The remainder of ``normal_form`` by divisors given by ``_divisor``;
+    the quotient terms are written to ``quotients`` (one dict per divisor)
+    only when that is given."""
     remainder: dict = {}
     work = dict(f.terms)
     while work:
         lead = max(work, key=order.key)
         coeff = work[lead]
-        for i, (gexp, gcoeff) in enumerate(info):
+        for i, (gexp, gcoeff, g) in enumerate(divisors):
             if _divides(gexp, lead):
                 shift = _cofactor(lead, gexp)
                 factor = coeff / gcoeff
-                quotients[i][shift] = factor
-                _add_multiple(work, -factor, shift, divisors[i].terms)
+                if quotients is not None:
+                    quotients[i][shift] = factor
+                _add_multiple(work, -factor, shift, g)
                 break
         else:
             remainder[lead] = coeff
             del work[lead]
-    return DivisionResult(
-        [Polynomial(ring, q) for q in quotients], Polynomial(ring, remainder)
-    )
+    return Polynomial(f.ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -166,7 +176,8 @@ def buchberger(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial
     """
     check_generators(polys)
     basis = list(polys)
-    leads = [order.leading_exponent(f) for f in basis]
+    divisors = [_divisor(f, order) for f in basis]
+    leads = [d[0] for d in divisors]
     queue: list = []
     pending: set = set()
     for i in range(len(basis)):
@@ -180,12 +191,13 @@ def buchberger(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial
         spoly = s_polynomial(basis[i], basis[j], order)
         if spoly.is_zero():
             continue
-        remainder = normal_form(spoly, basis, order).remainder
+        remainder = _remainder(spoly, divisors, order)
         if remainder.is_zero():
             continue
         remainder = remainder.scale(1 / order.leading_coefficient(remainder))
         basis.append(remainder)
-        leads.append(order.leading_exponent(remainder))
+        divisors.append(_divisor(remainder, order))
+        leads.append(divisors[-1][0])
         new = len(basis) - 1
         for k in range(new):
             _push_pair(queue, pending, leads, k, new)
@@ -227,11 +239,11 @@ def interreduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomia
         if not any(_divides(kept, exp) for kept, _ in minimal):
             minimal.append((exp, g))
     reduced = []
-    polys_only = [g for _, g in minimal]
+    divisors = [_divisor(g, order) for _, g in minimal]
     for idx, (exp, g) in enumerate(minimal):
-        others = polys_only[:idx] + polys_only[idx + 1 :]
+        others = divisors[:idx] + divisors[idx + 1 :]
         if others:
-            g = normal_form(g, others, order).remainder
+            g = _remainder(g, others, order)
         g = g.scale(1 / order.leading_coefficient(g))
         reduced.append(g)
     reduced.sort(key=lambda g: order.key(order.leading_exponent(g)))

@@ -38,6 +38,9 @@ import warnings
 from collections import deque
 from fractions import Fraction
 
+# used through the module, which loads it on first use: the ranking and
+# the Hilbert criterion never do
+from . import toric
 from .orders import (
     LatticePolytope,
     OrderClass,
@@ -57,13 +60,6 @@ from .polyring import (
     _FrozenRecord,
     _Record,
     check_generators,
-)
-from .toric import (
-    ExponentMatrix,
-    _lattice_key,
-    relations_up_to_degree,
-    solve_monomial_membership,
-    toric_ideal_generators,
 )
 
 DEFAULT_HILBERT_BOUND = 12
@@ -131,7 +127,7 @@ def subduction(
     if f.ring != polys[0].ring:
         raise ValueError("polynomial ring differs from generator ring")
     _require_positive_steps(max_steps)
-    matrix = ExponentMatrix([order.leading_exponent(g) for g in polys])
+    matrix = toric.ExponentMatrix([order.leading_exponent(g) for g in polys])
     return _subduce(f, polys, order, matrix, {}, max_steps)
 
 
@@ -150,7 +146,7 @@ def _subduce(f, polys, order, matrix, cache, max_steps) -> SubductionResult:
         lead = max(work, key=order.key)
         # each step cancels the leading term, so the leads strictly decrease
         assert previous is None or order.key(lead) < order.key(previous)
-        v = solve_monomial_membership(matrix, lead)
+        v = toric.solve_monomial_membership(matrix, lead)
         if v is None:
             break
         product = _power_product(polys, v, cache)
@@ -192,7 +188,10 @@ class _SharedRelations:
     """
 
     def __init__(self, classes: list[OrderClass]):
-        keys = {cls.leads: _lattice_key(ExponentMatrix(cls.leads)) for cls in classes}
+        keys = {
+            cls.leads: toric._lattice_key(toric.ExponentMatrix(cls.leads))
+            for cls in classes
+        }
         counts: dict = {}
         for key in keys.values():
             counts[key] = counts.get(key, 0) + 1
@@ -200,7 +199,7 @@ class _SharedRelations:
         self._keys = {leads: k for leads, k in keys.items() if k in self._waiting}
         self._streams: dict = {}
 
-    def take(self, matrix: ExponentMatrix) -> list:
+    def take(self, matrix: toric.ExponentMatrix) -> list:
         """The stream of the lattice of ``matrix``, for the one class whose
         lead matrix it is."""
         key = self._keys.pop(matrix.columns, None)
@@ -213,18 +212,19 @@ class _SharedRelations:
         return self._streams.setdefault(key, [None, None])
 
 
-def _relations(matrix: ExponentMatrix, stream: list):
+def _relations(matrix: toric.ExponentMatrix, stream: list):
     """The relations whose lifts the criterion subduces: those of degree
     <= 3 first, then the generating-set binomials not among them.  The
     generating set is computed only when every low relation was taken.
     ``stream`` holds the two lists once computed, for other classes of
     the same lattice."""
     if stream[0] is None:
-        stream[0] = relations_up_to_degree(matrix, 3)
+        stream[0] = toric.relations_up_to_degree(matrix, 3)
     yield from stream[0]
     if stream[1] is None:
         seen = set(stream[0])
-        stream[1] = [b for b in toric_ideal_generators(matrix) if b not in seen]
+        generators = toric.toric_ideal_generators(matrix)
+        stream[1] = [b for b in generators if b not in seen]
     yield from stream[1]
 
 
@@ -247,7 +247,7 @@ def _sagbi_failure_witness(
     check_generators(polys)
     _require_positive_steps(max_steps)
     order = _certified_order(polys, cls)
-    matrix = ExponentMatrix(cls.leads)
+    matrix = toric.ExponentMatrix(cls.leads)
     stream = [None, None] if shared is None else shared.take(matrix)
     cache: dict = {}
     for binomial in _relations(matrix, stream):

@@ -1,9 +1,15 @@
 """CLI tests: the system-file grammar, commands, formats and exit codes."""
 
+import contextlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +18,10 @@ from basisdetect import Polynomial, cli
 from basisdetect.cli import MAX_TERMS, ParseError, main, parse_system
 from basisdetect.sagbi import SubductionLimitError
 
+import cli_oracle
 import systems
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -536,3 +545,192 @@ def test_other_warnings_shown_when_the_run_fails(capsys, monkeypatch, tmp_path):
         code, out, err = run_cli(capsys, "classes", "--input", path)
     assert code == 2
     assert err == "input error: bad system\n"
+
+
+# ---------------------------------------------------------------------------
+# the command line
+
+OPTION_SPELLINGS = {
+    "--input": ("--input", "--inp", "--i"),
+    "--format": ("--format", "--form", "--f"),
+    "--method": ("--method", "--me", "--m"),
+    "--hilbert-bound": ("--hilbert-bound", "--hilbert", "--hi"),
+    "--homogenize-t": ("--homogenize-t", "--homog", "--ho"),
+    "--criterion": ("--criterion", "--crit", "--c"),
+    "--jobs": ("--jobs", "--jo", "--j"),
+}
+VALUES = {
+    "--input": ("f.sys", "-", "a b", "-a b", "-x", "--input", "", "-3"),
+    "--format": ("text", "json", "xml", "TEXT", "js"),
+    "--method": ("subduction", "hilbert", "nicer"),
+    "--hilbert-bound": ("4", "-3", "0", " 7", "+2", "1_0", "x", "1.5", "-1.5", ""),
+    "--homogenize-t": ("1", ""),
+    "--criterion": ("preferable", "nicer", "hilbert"),
+    "--jobs": ("1", "2", "-3", "x", "", "2.0"),
+}
+UNKNOWN = ("--bogus", "--inputs", "---input", "-x", "-i", "--input-file")
+# ambiguous, or help with text attached
+MALFORMED = ("--h", "--=x", "-hx", "-h=1", "--help=")
+STRAY = ("stray", "classes", "-", "-5", "a b", "--in put")
+BAD_COMMANDS = ("bogus", "detect", "", "-3", "-")
+
+
+def _random_token_group(rng: random.Random) -> list[str]:
+    """One option with its value, a stray or unknown token, or help."""
+    roll = rng.random()
+    if roll < 0.04:
+        return [rng.choice(("-h", "--help", "--he", "--hel"))]
+    if roll < 0.12:
+        return [rng.choice(UNKNOWN + MALFORMED + STRAY)]
+    name = rng.choice(list(OPTION_SPELLINGS))
+    spelling = rng.choice(OPTION_SPELLINGS[name])
+    value = rng.choice(VALUES[name])
+    if name == "--homogenize-t" and rng.random() < 0.8:
+        return [spelling]
+    shape = rng.random()
+    if shape < 0.3:
+        return ["%s=%s" % (spelling, value)]
+    if shape < 0.35:
+        return [spelling]
+    return [spelling, value]
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    argv = []
+    if rng.random() < 0.05:
+        argv.append(rng.choice(UNKNOWN + MALFORMED + ("-h",)))
+    if rng.random() < 0.9:
+        command = list(cli.COMMANDS) + list(BAD_COMMANDS)
+        argv.append(rng.choice(command[:6] * 4 + command[6:]))
+    groups = [_random_token_group(rng) for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.8:
+        groups.append(["--input", "system.sys"])
+    rng.shuffle(groups)
+    return argv + [token for group in groups for token in group]
+
+
+def oracle_outcome(parser, argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return {0: "help", 2: "error"}[exc.code]
+
+
+def parser_outcome(argv):
+    try:
+        args = cli.parse_args(argv)
+    except cli.UsageError:
+        return "error"
+    return "help" if args is None else vars(args)
+
+
+def test_parser_agrees_with_argparse_oracle(capsys):
+    parser = cli_oracle.build_parser()
+    rng = random.Random(20261019)
+    seen = {"help": 0, "error": 0, "accepted": 0}
+    for _ in range(600):
+        argv = random_argv(rng)
+        expected = oracle_outcome(parser, argv)
+        assert parser_outcome(argv) == expected, argv
+        seen[expected if isinstance(expected, str) else "accepted"] += 1
+        if expected == "error":
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("usage: basisdetect")
+            assert err.endswith("\n") and err.count("\n") == 2
+            assert "\nbasisdetect: error: " in err
+    # every outcome is well represented
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (
+            ["classes", "--input", "a", "--input", "b", "--jobs=3", "--jobs", "4"],
+            {"input": "b", "jobs": 4},
+        ),
+        (
+            ["rank", "--inp=a=b", "--crit", "preferable", "--ho", "--homogenize-t"],
+            {"input": "a=b", "criterion": "preferable", "homogenize_t": True},
+        ),
+        (
+            ["detect-sagbi", "--m=hilbert", "--hi", "-3", "--input", "-"],
+            {"input": "-", "method": "hilbert", "hilbert_bound": -3},
+        ),
+    ],
+)
+def test_parser_reads_prefixes_repeats_and_attached_values(argv, fields):
+    defaults = {
+        "command": argv[0],
+        "format": "text",
+        "method": "subduction",
+        "hilbert_bound": None,
+        "homogenize_t": False,
+        "criterion": "nicer",
+        "jobs": 1,
+    }
+    assert vars(cli.parse_args(argv)) == {**defaults, **fields}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["--he"], ["rank", "-h"], ["classes", "--bogus", "--help"]],
+)
+def test_help_exits_0_and_lists_every_command_and_option(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: basisdetect")
+    for name in (*cli.COMMANDS, *cli.OPTIONS):
+        assert name in out
+
+
+def test_double_dash_is_a_usage_error(capsys, tmp_path):
+    path = write_system(tmp_path, systems.twisted_cubic())
+    for argv in (["--", "classes"], ["classes", "--input", path, "--"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: basisdetect")
+
+
+def test_main_reads_sys_argv_by_default(tmp_path, capsys, monkeypatch):
+    path = write_system(tmp_path, systems.two_cone_example())
+    monkeypatch.setattr("sys.argv", ["basisdetect", "classes", "--input", path])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("found 2 classes\n")
+
+
+def test_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch):
+    text = systems.system_file_text(systems.twisted_cubic())
+    plain = tmp_path / "plain.sys"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.sys"
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    argv = ("detect-gb", "--format", "json", "--input")
+    expected = run_cli(capsys, *argv, str(plain))
+    assert expected[0] == 0
+    assert run_cli(capsys, *argv, str(marked)) == expected
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+    assert run_cli(capsys, *argv, "-") == expected
+
+
+def test_closed_stdout_is_an_output_error():
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "basisdetect", "classes", "--input", "-",
+         "--format", "json"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # the reader is gone before the report is written
+    child.stdout.close()
+    _, err = child.communicate(b"ring: x, y\npolys:\nx*y\n", timeout=60)
+    assert child.returncode == 2
+    assert err.decode().startswith("output error: ")
+    assert err.count(b"\n") == 1

@@ -144,7 +144,7 @@ def test_generating_set_only_after_low_relations(monkeypatch):
     def refuse(matrix):
         raise AssertionError("generating set computed")
 
-    monkeypatch.setattr("basisdetect.sagbi.toric_ideal_generators", refuse)
+    monkeypatch.setattr("basisdetect.toric.toric_ideal_generators", refuse)
     assert not is_sagbi_subduction(F, red)
 
     calls = []
@@ -153,7 +153,7 @@ def test_generating_set_only_after_low_relations(monkeypatch):
         calls.append(matrix)
         return toric_ideal_generators(matrix)
 
-    monkeypatch.setattr("basisdetect.sagbi.toric_ideal_generators", counting)
+    monkeypatch.setattr("basisdetect.toric.toric_ideal_generators", counting)
     assert is_sagbi_subduction(F, green)
     assert calls == [ExponentMatrix(green.leads)]
 
@@ -179,7 +179,7 @@ def test_classes_of_one_lattice_share_their_relations(monkeypatch):
         runs.append(_SharedRelations(classes))
         return runs[-1]
 
-    monkeypatch.setattr("basisdetect.sagbi.toric_ideal_generators", counting)
+    monkeypatch.setattr("basisdetect.toric.toric_ideal_generators", counting)
     monkeypatch.setattr("basisdetect.sagbi._SharedRelations", recording)
     assert list(verdicts(F, "subduction")) == expected
     assert len(calls) == len(set(calls)) == 3

@@ -41,12 +41,12 @@ LAYERS = {"polyring", "lp", "orders", "groebner", "toric", "sagbi", "detect"}
 
 # command -> layers that must not run
 NOT_RUN = {
-    "classes": {"groebner", "toric", "sagbi"},
+    "classes": {"groebner", "toric", "sagbi", "detect"},
     "detect-gb": {"toric", "sagbi"},
     "universal-gb": {"toric", "sagbi"},
     "detect-sagbi": {"groebner"},
     "universal-sagbi": {"groebner"},
-    "rank": {"groebner"},
+    "rank": {"groebner", "toric", "detect"},
 }
 
 
@@ -75,11 +75,14 @@ def test_command_runs_only_its_layers(tmp_path, bare_modules, command):
     argv = [command, "--input", str(path)]
     seen = _probe(tmp_path, RUN_COMMAND.format(argv=argv))
     ran = {name.split(".", 1)[1] for name in seen["ran"] if "." in name}
-    assert "cli" in ran and "detect" in ran and "orders" in ran
+    assert "cli" in ran and "orders" in ran
+    # only the per-class criteria go through detect.verdicts
+    assert ("detect" in ran) == (command not in ("classes", "rank"))
     assert not ran & NOT_RUN[command], ran
     added = set(seen["modules"]) - bare_modules
-    # the report is text, so json is not needed either
-    for heavy in ("dataclasses", "inspect", "json"):
+    # the command line is read without argparse (which loads gettext and
+    # locale), and the report is text, so json is not needed either
+    for heavy in ("argparse", "gettext", "locale", "dataclasses", "inspect", "json"):
         assert heavy not in added, heavy
 
 
