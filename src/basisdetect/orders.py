@@ -15,9 +15,6 @@ placing (beneath-beyond) triangulation, in exact integer arithmetic.
 
 from __future__ import annotations
 
-import itertools
-from math import lcm
-
 from . import lp
 from .polyring import (
     Exponent,
@@ -25,7 +22,6 @@ from .polyring import (
     TermOrder,
     _FrozenRecord,
     check_generators,
-    normalize_weight,
 )
 
 LeadingTuple = tuple[Exponent, ...]
@@ -48,42 +44,33 @@ class OrderClass(_FrozenRecord):
         return TermOrder(self.weight)
 
 
+def _cone_rows(f: Polynomial, lead: Exponent) -> list[list[int]]:
+    """The rows ``u - lead, 1, 0`` of ``lp.cone_weight``, u in ``f.terms``."""
+    return [[a - b for a, b in zip(u, lead)] + [1, 0] for u in f.terms if u != lead]
+
+
+def _cone(rows: list, n: int):
+    """``lp.cone_weight(rows, n)``; without rows every weight qualifies,
+    and ``lp`` is not loaded for it."""
+    return lp.cone_weight(rows, n) if rows else ((1,) * n, None)
+
+
 def cone_feasibility(polys: list[Polynomial], leads) -> tuple[int, ...] | None:
     """Integer weight strictly selecting the given leading tuple, or None.
 
     Solves max epsilon s.t. <w, lead_i - u> >= epsilon for every competing
-    support exponent u, 0 <= w_j <= 1, in exact rational arithmetic; the
-    system is homogeneous in w so the unit box loses no generality.  A
-    positive optimum yields an interior point, which is cleared to a
-    primitive integer vector.
+    support exponent u, 0 <= w_j <= 1, with ``lp.cone_weight``.
     """
     check_generators(polys)
     leads = tuple(tuple(e) for e in leads)
     if len(leads) != len(polys):
         raise ValueError("leading tuple length differs from polynomial count")
-    n = polys[0].ring.nvars
     rows = []
     for f, lead in zip(polys, leads):
         if lead not in f.terms:
             raise ValueError("%r is not in the support of %r" % (lead, f))
-        for u in f.terms:
-            if u != lead:
-                # <w, u - lead> + eps <= 0
-                rows.append([u[j] - lead[j] for j in range(n)] + [1])
-    if not rows:
-        return (1,) * n
-    rhs = [0] * len(rows)
-    for j in range(n):
-        box = [0] * (n + 1)
-        box[j] = 1
-        rows.append(box)
-        rhs.append(1)
-    objective = [0] * n + [1]
-    value, point = lp.maximize(objective, rows, rhs)
-    if value <= 0:
-        return None
-    denom = lcm(*(x.denominator for x in point[:n]))
-    return normalize_weight(int(x * denom) for x in point[:n])
+        rows += _cone_rows(f, lead)
+    return _cone(rows, polys[0].ring.nvars)[0]
 
 
 def leading_tuple(polys: list[Polynomial], order: TermOrder) -> LeadingTuple:
@@ -91,29 +78,59 @@ def leading_tuple(polys: list[Polynomial], order: TermOrder) -> LeadingTuple:
     return tuple(order.leading_exponent(f) for f in polys)
 
 
+def _contradictions(polys: list[Polynomial], candidates) -> list:
+    """Every pair ((i, a), (k, b)), i < k, of candidate leads a of f_i and
+    b != a of f_k with b in the support of f_i and a in that of f_k: no
+    weight has w.a > w.b > w.a."""
+    return [
+        ((i, a), (k, b))
+        for k, f in enumerate(polys) for i in range(k)
+        for a in candidates[i] if a in f.terms
+        for b in candidates[k] if b != a and b in polys[i].terms
+    ]
+
+
 def extract_weight_vectors(polys: list[Polynomial]) -> list[OrderClass]:
     """All term-order equivalence classes of F, each with a certified weight.
 
     Per-polynomial choices that are never weight-maximal are pruned with a
-    single-polynomial feasibility test before the Cartesian product is
-    scanned.  Output is sorted by leading tuple and duplicate-free.
+    single-polynomial feasibility test, then the product of the candidates
+    is walked depth first.  A tuple's program joins the rows of its leads,
+    built once per candidate, in the order ``cone_feasibility`` uses.  No
+    program is solved for a tuple that contains a core, leads that no
+    weight gives together: two leads that rank two shared monomials both
+    ways, or the leads whose rows carry the certificate of an empty cone.
+    Output is sorted by leading tuple and duplicate-free.
     """
     check_generators(polys)
-    candidates = []
+    n = polys[0].ring.nvars
+    blocks = []
     for f in polys:
-        exps = sorted(f.terms)
-        if len(exps) == 1:
-            candidates.append(exps)
-            continue
-        candidates.append(
-            [u for u in exps if cone_feasibility([f], (u,)) is not None]
-        )
+        rows = ((u, _cone_rows(f, u)) for u in sorted(f.terms))
+        blocks.append({u: r for u, r in rows if _cone(r, n)[0]})
+    cores = [[] for _ in polys]  # by their last generator
+    for core in _contradictions(polys, blocks):
+        cores[core[-1][0]].append(core)
     classes = []
-    for combo in itertools.product(*candidates):
-        weight = cone_feasibility(polys, combo)
+    stack = [()]  # prefixes, popped in product order, so classes come sorted
+    while stack:
+        combo = stack.pop()
+        k = len(combo)
+        if k and any(all(combo[i] == u for i, u in c) for c in cores[k - 1]):
+            continue
+        if k < len(polys):
+            stack += [combo + (u,) for u in reversed(blocks[k])]
+            continue
+        weight, core = _cone([r for b, u in zip(blocks, combo) for r in b[u]], n)
         if weight is not None:
-            classes.append(OrderClass(tuple(combo), weight))
-    classes.sort(key=lambda c: c.leads)
+            classes.append(OrderClass(combo, weight))
+            continue
+        owner = [i for i, u in enumerate(combo) for _ in blocks[i][u]]
+        owners = sorted({owner[r] for r in core})
+        cores[owners[-1]].append(tuple((i, combo[i]) for i in owners))
+        # the prefixes stacked past the core's last generator all contain it
+        while stack and len(stack[-1]) > owners[-1] + 1:
+            stack.pop()
     return classes
 
 
@@ -202,11 +219,13 @@ def _det(rows: list) -> int:
                 return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
+        p = a[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+            if f := a[i][k]:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+            elif p != prev:
+                a[i] = [p * x // prev for x in a[i]]
+        prev = p
     return sign * a[-1][-1]
 
 
@@ -221,19 +240,23 @@ def _oriented_facet(points: list, facet: tuple[int, ...], apex: int):
 def _placing_volume(points: list[tuple[int, ...]]) -> int:
     """Sum of |det| over a placing triangulation of a full-dimensional hull.
 
-    A start simplex is chosen greedily by rank.  Every boundary facet (a
-    sorted index tuple) is stored with its edge rows and the determinant
-    its own simplex gives them; a later point is beyond the facet when its determinant has the
-    opposite nonzero sign, and the simplex it spans with the facet adds
-    |det|.  The horizon ridges, those in exactly one visible facet, are
-    joined to the point as new facets.  Every placing order triangulates
-    the hull, so the sum does not depend on the order of the points.
+    A start simplex is chosen greedily by rank, in one echelon.  Every
+    boundary facet (a sorted index tuple) is stored with its edge rows and
+    the determinant its own simplex gives them; a later point is beyond
+    the facet when its determinant has the opposite nonzero sign, and the
+    simplex it spans with the facet adds |det|.  The horizon ridges, those
+    in exactly one visible facet, are joined to the point as new facets.
+    Every placing order triangulates the hull, so the sum does not depend
+    on the order of the points.
     """
-    start = [0]
-    edges: list = []
+    start, edges, echelon = [0], [], []  # (pivot column, reduced edge)
     for i in range(1, len(points)):
-        edge = _sub(points[i], points[0])
-        if len(_hermite_basis(edges + [edge])) > len(edges):
+        v = edge = _sub(points[i], points[0])
+        for c, row in echelon:
+            if f := v[c]:
+                v = [row[c] * x - f * y for x, y in zip(v, row)]
+        if any(v):
+            echelon.append((next(j for j, x in enumerate(v) if x), v))
             start.append(i)
             edges.append(edge)
     total = abs(_det(edges))

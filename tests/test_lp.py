@@ -2,9 +2,12 @@
 
 Both use Bland's rule on the same exact data, so they make the same pivots
 and must agree exactly: the same optimal value and point, or the same
-error.
+error.  The integer cone entry ``cone_weight`` is checked against both
+through the general program it stands for.
 """
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -12,7 +15,8 @@ import pytest
 
 from basisdetect import extract_weight_vectors
 from basisdetect import lp as lp_mod
-from basisdetect.lp import UnboundedError, maximize
+from basisdetect.lp import UnboundedError, cone_weight, maximize
+from basisdetect.polyring import normalize_weight
 
 import lp_oracle
 import systems
@@ -133,6 +137,81 @@ def test_empty_programs_match_oracle():
     assert_agrees([1], [], [])
 
 
+def general_program(rows, n):
+    """The ``maximize`` program of ``cone_weight(rows, n)``: the cone rows
+    without their right-hand side, then the box rows w_j <= 1."""
+    cone = [list(r[: n + 1]) for r in rows]
+    box = [[int(j == k) for k in range(n + 1)] for j in range(n)]
+    return [0] * n + [1], cone + box, [0] * len(cone) + [1] * n
+
+
+def weight_of(value, point, n):
+    """What ``cone_weight`` must return for this optimum of the program."""
+    if value <= 0:
+        return None
+    denom = math.lcm(*(x.denominator for x in point[:n]))
+    return normalize_weight(x * denom for x in point[:n])
+
+
+def assert_cone_agrees(rows, n):
+    """The cone entry matches the oracle and ``maximize`` on its program,
+    and the core it gives for an empty cone is itself an empty cone for
+    the oracle; returns the oracle's optimum and point."""
+    assert all(len(r) == n + 2 and r[n:] == [1, 0] for r in rows)
+    expected = assert_agrees(*general_program(rows, n))
+    weight, core = cone_weight(rows, n)
+    assert weight == weight_of(*expected, n), (rows, n)
+    if weight is None:
+        assert core and len(set(core)) == len(core) and max(core) < len(rows), core
+        value, _ = lp_oracle.maximize(*general_program([rows[r] for r in core], n))
+        assert value == 0, (rows, core)
+    else:
+        assert core is None
+    return expected
+
+
+def test_cone_weight_matches_maximize_on_random_cones():
+    rng = random.Random(29)
+    zero = positive = degenerate = 0
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        diffs = [
+            [rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 5))
+        ]
+        diffs = [d for d in diffs if any(d)] or [[-1] * n]
+        # repeated and scaled rows: several constraints tight at one vertex
+        for _ in range(rng.randint(0, 2)):
+            diffs.append([rng.randint(1, 2) * x for x in rng.choice(diffs)])
+        rows = [d + [1, 0] for d in diffs]
+        value, point = assert_cone_agrees(rows, n)
+        if value == 0:
+            zero += 1
+            continue
+        positive += 1
+        tight = sum(sum(map(operator.mul, d, point)) + value == 0 for d in diffs)
+        tight += sum(x == 0 or x == 1 for x in point[:n])
+        degenerate += tight > n + 1
+    assert zero >= 50 and positive >= 50 and degenerate >= 50
+
+
+def test_cone_weight_without_rows_is_unbounded_like_maximize():
+    # eps is then bounded by nothing; enumeration never asks
+    assert assert_agrees(*general_program([], 3)) is UnboundedError
+    with pytest.raises(UnboundedError):
+        cone_weight([], 3)
+
+
+def test_cone_weight_leaves_its_rows_unchanged():
+    rows = [[1, -2, 1, 0], [-1, 0, 1, 0], [-2, 1, 1, 0]]
+    copy = [list(r) for r in rows]
+    value, point = assert_cone_agrees(rows, 2)
+    assert value > 0 and rows == copy
+    rows += [[1, 1, 1, 0]]
+    copy = [list(r) for r in rows]
+    value, point = assert_cone_agrees(rows, 2)
+    assert value == 0 and rows == copy
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -146,12 +225,12 @@ def test_empty_programs_match_oracle():
 def test_every_enumeration_lp_matches_oracle(make, monkeypatch):
     seen = []
 
-    def recording(objective, rows, rhs):
-        seen.append((objective, rows, rhs))
-        return maximize(objective, rows, rhs)
+    def recording(rows, n):
+        seen.append(([list(r) for r in rows], n))
+        return cone_weight(rows, n)
 
-    monkeypatch.setattr(lp_mod, "maximize", recording)
+    monkeypatch.setattr(lp_mod, "cone_weight", recording)
     extract_weight_vectors(make())
     assert seen
-    for objective, rows, rhs in seen:
-        assert_agrees(objective, rows, rhs)
+    for rows, n in seen:
+        assert_cone_agrees(rows, n)

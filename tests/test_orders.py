@@ -19,7 +19,7 @@ from basisdetect import (
     ring,
 )
 from basisdetect.lp import maximize
-from basisdetect.orders import _placing_volume
+from basisdetect.orders import _det, _placing_volume
 from basisdetect.polyring import dot
 
 import systems
@@ -272,3 +272,50 @@ def test_placing_volume_independent_of_point_order():
         for _ in range(3):
             rng.shuffle(points)
             assert _placing_volume(points) == expected, points
+
+
+def _fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over ``Fraction``, swapping in
+    the first row with a nonzero entry when a pivot is zero."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        swap = next((i for i in range(k, n) if a[i][k]), None)
+        if swap is None:
+            return Fraction(0)
+        if swap != k:
+            a[k], a[swap] = a[swap], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k] / a[k][k]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def test_det_matches_fraction_elimination():
+    rng = random.Random(1968)
+    swaps = singular = 0
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        rows = [[rng.choice((0, 0, 0, -1, 1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+        shape = rng.randrange(4)
+        if shape == 1 and n > 1:
+            # a zero pivot that needs a row swap
+            rows[0][0] = 0
+            rows[rng.randrange(1, n)][0] = rng.choice((-2, 1, 3))
+        elif shape == 2 and n > 1:
+            # a repeated or scaled row
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [rng.choice((-2, 1, 3)) * x for x in rows[j]]
+        elif shape == 3:
+            # a zero column
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        expected = _fraction_det(rows)
+        assert _det(rows) == expected, rows
+        swaps += n > 1 and rows[0][0] == 0 and any(row[0] for row in rows)
+        singular += expected == 0
+    assert swaps >= 100 and singular >= 100

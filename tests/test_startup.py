@@ -93,3 +93,13 @@ def test_import_runs_no_layer_but_registers_every_one(tmp_path):
     assert seen["ran"] == ["basisdetect"]
     registered = {name for name in seen["modules"] if name.startswith("basisdetect.")}
     assert registered == {"basisdetect." + layer for layer in LAYERS}
+
+
+def test_monomials_need_no_lp(tmp_path):
+    # every weight selects the only term of a monomial, so a system of
+    # monomials (the benchmark's set-up input) never runs the lp layer
+    path = tmp_path / "system.txt"
+    path.write_text("ring: x, y\npolys:\nx\nx*y^2\n")
+    seen = _probe(tmp_path, RUN_COMMAND.format(argv=["detect-gb", "--input", str(path)]))
+    assert "basisdetect.orders" in seen["ran"]
+    assert "basisdetect.lp" not in seen["ran"]
