@@ -5,7 +5,12 @@ layer module runs only when something first reads from it, so a command
 line run loads only the layers its command needs.  The layer modules are
 in ``sys.modules`` from the start, so tools that look up the package's
 modules there (such as the benchmark's tracer, which wraps functions in
-the modules it finds) find every one of them.
+the modules it finds) find every one of them.  The registration also lets
+a layer bind another as a module without running it: ``sagbi``'s
+``from . import toric`` and ``orders``' ``from . import lp`` take the
+registered module, whose code runs only when the first function is read
+from it, so ``rank`` never runs ``toric`` and a system of monomials, whose
+classes need no cone program, never runs ``lp``.
 """
 
 import sys
@@ -44,10 +49,7 @@ _EXPORTS = {
         "TermOrder",
         "homogenize_with_t",
         "initial_form",
-        "initial_term",
-        "normalize_weight",
         "ring",
-        "support",
     ),
     "sagbi": (
         "HilbertVector",

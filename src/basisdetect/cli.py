@@ -8,18 +8,19 @@ Input format (one statement per line, '#' starts a comment):
     x^2 + y^2 - 1
     2*x*y - 1
 
-Any ``key: value`` line before ``polys:`` other than the ring declaration
-is collected into an options map.  Expressions use +, -, *, ^ with explicit
-multiplication, parentheses, unary minus, and integer or rational literals
-(e.g. 1/2); exponents are nonnegative integer literals.  A product or power
-whose total degree (or exponent) would exceed MAX_DEGREE, or whose operand
-term counts multiply to more than MAX_TERMS, is a parse error.
+Any other ``key: value`` line before ``polys:`` is accepted and ignored.
+Expressions use +, -, *, ^ with explicit multiplication, parentheses,
+unary minus, and integer or rational literals (e.g. 1/2); exponents are
+nonnegative integer literals.  A product or power whose total degree (or
+exponent) would exceed MAX_DEGREE, or whose operand term counts multiply
+to more than MAX_TERMS, is a parse error, as is an integer literal with
+more digits than the interpreter converts (4300 by default).
 
 Exit codes: 0 on success (and for ``-h``), 1 when a detect command finds
 no classes, 2 on usage, input or option errors, when a computation hits a
-resource limit (subduction step cap, recursion depth), and on an output
-error such as a closed stdout.  Reports go to stdout, diagnostics to
-stderr; a usage error prints a ``usage:`` line and
+resource limit (10 000 steps in one subduction, recursion depth), and on
+an output error such as a closed stdout.  Reports go to stdout,
+diagnostics to stderr; a usage error prints a ``usage:`` line and
 ``basisdetect: error: <reason>``.
 """
 
@@ -39,12 +40,12 @@ from .polyring import (
     Polynomial,
     PolynomialRing,
     SubductionLimitError,
-    _Record,
     homogenize_with_t,
 )
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-OPTION_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):\s*(.*)\Z")
+# a header line that is accepted and ignored
+HEADER_LINE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*:")
 # Parser bounds: every example system needs degree 6 and single-term
 # operands, and hostile input such as (x+y)^100000 must fail at once.
 MAX_DEGREE = 100
@@ -56,19 +57,6 @@ class ParseError(ValueError):
         super().__init__("line %d, column %d: %s" % (line, column, message))
         self.line = line
         self.column = column
-
-
-class SystemFile(_Record):
-    """Parsed header plus the raw polynomial expression strings."""
-
-    __slots__ = ("variables", "polynomials", "options")
-
-    def __init__(
-        self, variables: list[str], polynomials: list[str], options: dict | None = None
-    ):
-        self.variables = variables
-        self.polynomials = polynomials
-        self.options = {} if options is None else options
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +103,14 @@ class _ExprParser:
     def fail(self, message: str, token=None):
         token = token or self.peek()
         raise ParseError(message, self.line, token[2])
+
+    def integer(self, token) -> int:
+        """The value of an integer literal token; one with more digits than
+        the interpreter converts (``sys.get_int_max_str_digits``) fails."""
+        try:
+            return int(token[1])
+        except ValueError:
+            self.fail("integer literal of %d digits is too long" % len(token[1]), token)
 
     def check_size(self, degree: int, terms: int, token) -> None:
         """Refuse a product before computing it, given its total degree and
@@ -170,16 +166,15 @@ class _ExprParser:
             self.advance()
             return -self.factor()
         base = self.atom()
-        kind, value, start = self.peek()
+        kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             caret = self.advance()
-            kind, value, start = self.peek()
+            kind, value, _ = self.peek()
             if kind == "op" and value == "-":
                 self.fail("negative exponent")
             if kind != "int":
                 self.fail("exponent must be a nonnegative integer literal")
-            self.advance()
-            k = int(value)
+            k = self.integer(self.advance())
             if k > MAX_DEGREE:
                 self.fail("exponent above %d" % MAX_DEGREE, caret)
             m = len(base.terms)
@@ -191,25 +186,23 @@ class _ExprParser:
         return base
 
     def atom(self) -> Polynomial:
-        kind, value, start = self.advance()
+        token = self.advance()
+        kind, value, _ = token
         if kind == "int":
-            numerator = int(value)
+            numerator = self.integer(token)
             kind, slash, _ = self.peek()
             if kind == "op" and slash == "/":
                 self.advance()
-                kind, denom, _ = self.peek()
-                if kind != "int":
+                if self.peek()[0] != "int":
                     self.fail("expected integer denominator")
-                self.advance()
-                if int(denom) == 0:
+                denom = self.integer(self.advance())
+                if denom == 0:
                     self.fail("zero denominator")
-                return self.ring.constant(Fraction(numerator, int(denom)))
+                return self.ring.constant(Fraction(numerator, denom))
             return self.ring.constant(numerator)
         if kind == "name":
             if value not in self.ring.variables:
-                raise ParseError(
-                    "undeclared variable %r" % value, self.line, start
-                )
+                self.fail("undeclared variable %r" % value, token)
             return self.ring.variable(value)
         if kind == "op" and value == "(":
             poly = self.expression()
@@ -218,21 +211,14 @@ class _ExprParser:
                 self.fail("expected ')'")
             self.advance()
             return poly
-        raise ParseError(
-            "expected a variable, number or '('", self.line, start
-        )
+        self.fail("expected a variable, number or '('", token)
 
 
-def parse_expression(text: str, line: int, ring: PolynomialRing) -> Polynomial:
-    return _ExprParser(text, line, ring).parse()
-
-
-def parse_system(text: str) -> tuple[SystemFile, list[Polynomial]]:
-    """Parse a system file into its header and polynomials.  One leading
-    byte-order mark (U+FEFF), as some editors write it, is dropped."""
+def parse_system(text: str) -> list[Polynomial]:
+    """Parse a system file into its polynomials.  One leading byte-order
+    mark (U+FEFF), as some editors write it, is dropped."""
     text = text.removeprefix("\ufeff")
     variables: list[str] | None = None
-    options: dict = {}
     expressions: list[tuple[int, str]] = []
     in_polys = False
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -261,9 +247,7 @@ def parse_system(text: str) -> tuple[SystemFile, list[Polynomial]]:
                 raise ParseError("polys: before ring declaration", lineno)
             in_polys = True
             continue
-        match = OPTION_LINE.match(stripped)
-        if match:
-            options[match.group(1)] = match.group(2)
+        if HEADER_LINE.match(stripped):
             continue
         raise ParseError("expected 'ring:', 'polys:' or 'key: value'", lineno)
     if variables is None:
@@ -271,12 +255,11 @@ def parse_system(text: str) -> tuple[SystemFile, list[Polynomial]]:
     if not expressions:
         raise ParseError("no polynomials given", len(text.splitlines()) or 1)
     ring = PolynomialRing(tuple(variables))
-    polys = [parse_expression(expr, lineno, ring) for lineno, expr in expressions]
+    polys = [_ExprParser(expr, lineno, ring).parse() for lineno, expr in expressions]
     for (lineno, _), f in zip(expressions, polys):
         if f.is_zero():
             raise ParseError("polynomial is identically zero", lineno)
-    system = SystemFile(variables, [expr for _, expr in expressions], options)
-    return system, polys
+    return polys
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +347,17 @@ def run(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            print("input error: %s" % exc, file=sys.stderr)
-            return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print("input error: %s" % exc, file=sys.stderr)
+        return 2
     try:
-        system, polys = parse_system(text)
+        polys = parse_system(text)
         if args.homogenize_t:
             polys = homogenize_with_t(polys)
         ring = polys[0].ring

@@ -18,7 +18,7 @@ from collections.abc import Generator
 from functools import partial
 
 from .orders import OrderClass, extract_weight_vectors
-from .polyring import DEFAULT_SUBDUCTION_CAP, Polynomial
+from .polyring import Polynomial
 
 
 def _pool_size(jobs: int, nclasses: int, cpus: int | None) -> int:
@@ -39,12 +39,10 @@ def _check_gb(polys: list[Polynomial], cls: OrderClass) -> bool:
     return is_groebner_basis(polys, cls.order())
 
 
-def _check_sagbi_subduction(
-    polys: list[Polynomial], max_steps: int, shared, cls: OrderClass
-) -> bool:
+def _check_sagbi_subduction(polys: list[Polynomial], shared, cls: OrderClass) -> bool:
     from .sagbi import is_sagbi_subduction
 
-    return is_sagbi_subduction(polys, cls, max_steps, shared=shared)
+    return is_sagbi_subduction(polys, cls, shared=shared)
 
 
 def _checked(check, classes: list[OrderClass], jobs: int):
@@ -73,39 +71,37 @@ def verdicts(
     criterion: str,
     *,
     bound: int | None = None,
-    max_steps: int = DEFAULT_SUBDUCTION_CAP,
     jobs: int = 1,
 ) -> Generator[tuple[OrderClass, bool], None, None]:
     """``(class, verdict)`` for every term-order class, in sorted order.
 
     ``criterion`` is 'buchberger' (Groebner basis), 'subduction' (SAGBI,
-    exact, bounded by ``max_steps`` per subduction) or 'hilbert' (SAGBI,
-    homogeneous generators, compared up to the degree limit resolved from
-    ``bound``, with a HilbertBoundWarning when that limit truncates).  The
-    arguments are validated and the classes enumerated when this is
-    called; the verdicts are computed lazily, one class per step, or by
-    up to ``jobs`` worker processes.  Checks not yet read are cancelled
-    when the iterator is closed.  'hilbert' always runs in this process:
-    each class's Hilbert vector is compared with the subalgebra's Hilbert
-    function, which is computed once for all classes, one degree at a time,
-    only as far as some class still agrees.  'subduction' in one process
-    computes the relations of each lattice ker A of lead matrices once for
-    all classes that share it (the ``shared`` keyword of
-    ``is_sagbi_subduction``).
+    exact, at most ``sagbi.SUBDUCTION_CAP`` steps per subduction) or
+    'hilbert' (SAGBI, homogeneous generators, compared up to the degree
+    limit resolved from ``bound``, with a HilbertBoundWarning when that
+    limit truncates).  The arguments are validated and the classes
+    enumerated when this is called; the verdicts are computed lazily, one
+    class per step, or by up to ``jobs`` worker processes.  Checks not yet
+    read are cancelled when the iterator is closed.  'hilbert' always runs
+    in this process: each class's Hilbert vector is compared with the
+    subalgebra's Hilbert function, which is computed once for all classes,
+    one degree at a time, only as far as some class still agrees.
+    'subduction' in one process computes the relations of each lattice
+    ker A of lead matrices once for all classes that share it (the
+    ``shared`` keyword of ``is_sagbi_subduction``).
     """
     if criterion == "buchberger":
         check = partial(_check_gb, polys)
     elif criterion == "subduction":
-        from .sagbi import _require_positive_steps, _SharedRelations
+        from .sagbi import _SharedRelations
 
-        _require_positive_steps(max_steps)
         classes = extract_weight_vectors(polys)
         # a serial run shares the relations of each lattice between its
         # classes; worker processes compute their own
         shared = None
         if _pool_size(jobs, len(classes), os.cpu_count()) == 1:
             shared = _SharedRelations(classes)
-        check = partial(_check_sagbi_subduction, polys, max_steps, shared)
+        check = partial(_check_sagbi_subduction, polys, shared)
         return _checked(check, classes, jobs)
     elif criterion == "hilbert":
         from .sagbi import _resolve_hilbert_bound, _subalgebra_matcher, hilbert_vector
@@ -138,7 +134,6 @@ def weight_vectors_realizing_sagbi(
     polys: list[Polynomial],
     method: str = "subduction",
     bound: int | None = None,
-    max_steps: int = DEFAULT_SUBDUCTION_CAP,
 ) -> list[OrderClass]:
     """Classes of term orders for which the input is a SAGBI basis.
 
@@ -147,8 +142,7 @@ def weight_vectors_realizing_sagbi(
     """
     if method not in ("subduction", "hilbert"):
         raise ValueError("method must be 'subduction' or 'hilbert'")
-    found = verdicts(polys, method, bound=bound, max_steps=max_steps)
-    return [cls for cls, ok in found if ok]
+    return [cls for cls, ok in verdicts(polys, method, bound=bound) if ok]
 
 
 def is_universal_sagbi(polys: list[Polynomial]) -> bool:

@@ -194,7 +194,7 @@ def buchberger(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial
         remainder = _remainder(spoly, divisors, order)
         if remainder.is_zero():
             continue
-        remainder = remainder.scale(1 / order.leading_coefficient(remainder))
+        remainder = remainder.scale(1 / order.leading_term(remainder)[1])
         basis.append(remainder)
         divisors.append(_divisor(remainder, order))
         leads.append(divisors[-1][0])
@@ -244,7 +244,7 @@ def interreduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomia
         others = divisors[:idx] + divisors[idx + 1 :]
         if others:
             g = _remainder(g, others, order)
-        g = g.scale(1 / order.leading_coefficient(g))
+        g = g.scale(1 / order.leading_term(g)[1])
         reduced.append(g)
     reduced.sort(key=lambda g: order.key(order.leading_exponent(g)))
     return reduced

@@ -8,14 +8,9 @@ All values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import add, le
 
 Exponent = tuple[int, ...]
-
-# Shared by the subduction and Hilbert criteria (``sagbi``), the detection
-# driver and the command line, which load ``sagbi`` only when they run it.
-DEFAULT_SUBDUCTION_CAP = 10_000
 
 
 class SubductionLimitError(RuntimeError):
@@ -159,9 +154,6 @@ class Polynomial:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def coefficient(self, exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
-
     def _check_ring(self, other: "Polynomial"):
         # identity first: the field comparison of two equal rings costs more
         # than a division step's arithmetic
@@ -265,22 +257,6 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return all(map(le, a, b))
 
 
-def normalize_weight(entries) -> tuple[int, ...]:
-    """Reduce an integer weight vector to its primitive representative.
-
-    Entries must be nonnegative integers, not all zero.
-    """
-    w = tuple(int(e) for e in entries)
-    if any(e < 0 for e in w):
-        raise ValueError("weight entries must be nonnegative: %r" % (w,))
-    g = 0
-    for e in w:
-        g = gcd(g, e)
-    if g == 0:
-        raise ValueError("the all-zero weight vector is not allowed")
-    return tuple(e // g for e in w)
-
-
 class MonomialOrder:
     """Base for total monomial orders; subclasses supply ``key``.
 
@@ -299,9 +275,6 @@ class MonomialOrder:
     def leading_term(self, f: Polynomial) -> tuple[Exponent, Fraction]:
         exp = self.leading_exponent(f)
         return exp, f.terms[exp]
-
-    def leading_coefficient(self, f: Polynomial) -> Fraction:
-        return f.terms[self.leading_exponent(f)]
 
 
 class TermOrder(MonomialOrder):
@@ -351,17 +324,12 @@ def dot(w, e) -> int:
     return sum(a * b for a, b in zip(w, e))
 
 
-def initial_term(f: Polynomial, order: TermOrder) -> tuple[Exponent, Fraction]:
-    """The unique order-maximal term of a nonzero polynomial."""
-    return order.leading_term(f)
-
-
 def initial_form(f: Polynomial, weight) -> Polynomial:
     """Sum of all terms of f whose weight dot product is maximal.
 
-    Unlike ``initial_term`` this uses the weight alone (no lex refinement),
-    so the result need not be a monomial.  The weight needs one entry per
-    variable, as in ``TermOrder``.
+    Unlike ``TermOrder.leading_term`` this uses the weight alone (no lex
+    refinement), so the result need not be a monomial.  The weight needs
+    one entry per variable, as in ``TermOrder``.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no initial form")
@@ -372,10 +340,6 @@ def initial_form(f: Polynomial, weight) -> Polynomial:
     return Polynomial(
         f.ring, {e: c for e, c in f.terms.items() if dot(w, e) == best}
     )
-
-
-def support(f: Polynomial) -> frozenset:
-    return f.support()
 
 
 def check_generators(polys: list[Polynomial]) -> None:

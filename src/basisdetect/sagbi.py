@@ -50,7 +50,6 @@ from .orders import (
     polytope_dim,
 )
 from .polyring import (
-    DEFAULT_SUBDUCTION_CAP,
     HilbertBoundWarning,
     MonomialOrder,
     Polynomial,
@@ -63,6 +62,9 @@ from .polyring import (
 )
 
 DEFAULT_HILBERT_BOUND = 12
+# steps of one subduction before SubductionLimitError (suspected
+# non-termination); ``_subduce`` reads it when it runs
+SUBDUCTION_CAP = 10_000
 
 
 class SubductionResult(_Record):
@@ -104,16 +106,8 @@ def _power_product(
     return product
 
 
-def _require_positive_steps(max_steps: int) -> None:
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1, got %d" % max_steps)
-
-
 def subduction(
-    f: Polynomial,
-    polys: list[Polynomial],
-    order: MonomialOrder,
-    max_steps: int = DEFAULT_SUBDUCTION_CAP,
+    f: Polynomial, polys: list[Polynomial], order: MonomialOrder
 ) -> SubductionResult:
     """Rewrite the leading term of f as a monomial in the leading terms of
     the generators, repeatedly, until that fails or f vanishes.
@@ -121,17 +115,16 @@ def subduction(
     Each step subtracts c * prod(F_i ** v_i) where A v matches the current
     leading exponent (A = leading exponents of the generators), so the
     leading term cancels exactly and strictly decreases in the order.
-    A ``max_steps`` below 1 is a ValueError.
+    More than SUBDUCTION_CAP steps is a SubductionLimitError.
     """
     check_generators(polys)
     if f.ring != polys[0].ring:
         raise ValueError("polynomial ring differs from generator ring")
-    _require_positive_steps(max_steps)
     matrix = toric.ExponentMatrix([order.leading_exponent(g) for g in polys])
-    return _subduce(f, polys, order, matrix, {}, max_steps)
+    return _subduce(f, polys, order, matrix, {})
 
 
-def _subduce(f, polys, order, matrix, cache, max_steps) -> SubductionResult:
+def _subduce(f, polys, order, matrix, cache) -> SubductionResult:
     """The subduction loop, given the generators' leading exponents as the
     columns of ``matrix`` and a table of their power products, ``cache``,
     that it extends."""
@@ -139,9 +132,9 @@ def _subduce(f, polys, order, matrix, cache, max_steps) -> SubductionResult:
     work = dict(f.terms)
     previous = None
     while work:
-        if len(steps) >= max_steps:
+        if len(steps) >= SUBDUCTION_CAP:
             raise SubductionLimitError(
-                "subduction did not finish within %d steps" % max_steps
+                "subduction did not finish within %d steps" % SUBDUCTION_CAP
             )
         lead = max(work, key=order.key)
         # each step cancels the leading term, so the leads strictly decrease
@@ -231,7 +224,6 @@ def _relations(matrix: toric.ExponentMatrix, stream: list):
 def _sagbi_failure_witness(
     polys: list[Polynomial],
     cls: OrderClass,
-    max_steps: int = DEFAULT_SUBDUCTION_CAP,
     shared: _SharedRelations | None = None,
 ) -> Polynomial | None:
     """First lifted relation whose subduction remainder is nonzero, if any.
@@ -245,7 +237,6 @@ def _sagbi_failure_witness(
     class's matrix.
     """
     check_generators(polys)
-    _require_positive_steps(max_steps)
     order = _certified_order(polys, cls)
     matrix = toric.ExponentMatrix(cls.leads)
     stream = [None, None] if shared is None else shared.take(matrix)
@@ -255,7 +246,7 @@ def _sagbi_failure_witness(
         if matrix.apply(binomial.v) != lead:
             raise AssertionError("relation of another lattice")
         spoly = _relation_spoly(polys, binomial.u, binomial.v, lead, cache)
-        result = _subduce(spoly, polys, order, matrix, cache, max_steps)
+        result = _subduce(spoly, polys, order, matrix, cache)
         if not result.remainder.is_zero():
             return spoly
     return None
@@ -264,7 +255,6 @@ def _sagbi_failure_witness(
 def is_sagbi_subduction(
     polys: list[Polynomial],
     cls: OrderClass,
-    max_steps: int = DEFAULT_SUBDUCTION_CAP,
     *,
     shared: _SharedRelations | None = None,
 ) -> bool:
@@ -272,7 +262,7 @@ def is_sagbi_subduction(
     leading monomials must subduce to zero.  ``shared`` is the run's
     ``_SharedRelations``, which ``detect.verdicts`` builds; without it the
     class computes its own relations."""
-    return _sagbi_failure_witness(polys, cls, max_steps, shared) is None
+    return _sagbi_failure_witness(polys, cls, shared) is None
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import itertools
 from math import lcm
 
 from basisdetect.orders import OrderClass
-from basisdetect.polyring import normalize_weight
 
 import lp_oracle
 
@@ -43,7 +42,7 @@ def cone_feasibility(polys, leads) -> tuple[int, ...] | None:
     if value <= 0:
         return None
     denom = lcm(*(x.denominator for x in point[:n]))
-    return normalize_weight(int(x * denom) for x in point[:n])
+    return lp_oracle.normalize_weight(int(x * denom) for x in point[:n])
 
 
 def candidates(polys) -> list[list]:

@@ -9,8 +9,25 @@ same optimal value and point, or raise the same error.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from basisdetect.lp import UnboundedError
+
+
+def normalize_weight(entries) -> tuple[int, ...]:
+    """Reduce an integer weight vector to its primitive representative.
+
+    Entries must be nonnegative integers, not all zero.
+    """
+    w = tuple(int(e) for e in entries)
+    if any(e < 0 for e in w):
+        raise ValueError("weight entries must be nonnegative: %r" % (w,))
+    g = 0
+    for e in w:
+        g = gcd(g, e)
+    if g == 0:
+        raise ValueError("the all-zero weight vector is not allowed")
+    return tuple(e // g for e in w)
 
 
 def maximize(

@@ -42,20 +42,20 @@ def write_system(tmp_path, polys, name="system.txt"):
 
 def test_parse_system_basic():
     text = "ring: x, y\npolys:\nx^2 + y^2 - 1\n2*x*y - 1\n"
-    system, polys = parse_system(text)
-    assert system.variables == ["x", "y"]
+    polys = parse_system(text)
+    assert polys[0].ring.variables == ("x", "y")
     assert len(polys) == 2
     assert polys[0].terms == {(2, 0): 1, (0, 2): 1, (0, 0): -1}
     assert polys[1].terms == {(1, 1): 2, (0, 0): -1}
 
 
 def test_parse_system_single_variable():
-    system, polys = parse_system("ring: x\npolys:\nx\n")
+    polys = parse_system("ring: x\npolys:\nx\n")
     assert polys[0].terms == {(1,): 1}
 
 
 def test_parse_system_binomial_support():
-    _, polys = parse_system("ring: x, y\npolys:\nx*y - y^2\n")
+    polys = parse_system("ring: x, y\npolys:\nx*y - y^2\n")
     assert set(polys[0].terms) == {(1, 1), (0, 2)}
 
 
@@ -68,13 +68,13 @@ def test_parse_system_options_and_comments():
         "\n"
         "x + y  # tail comment\n"
     )
-    system, polys = parse_system(text)
-    assert system.options == {"name": "demo"}
-    assert len(polys) == 1
+    # the header line "name: demo" is accepted and ignored
+    polys = parse_system(text)
+    assert polys == parse_system("ring: x, y\npolys:\nx + y\n")
 
 
 def test_parse_rational_literal_and_parens():
-    _, polys = parse_system("ring: x, y\npolys:\n1/2*(x + y)^2\n")
+    polys = parse_system("ring: x, y\npolys:\n1/2*(x + y)^2\n")
     from fractions import Fraction
 
     assert polys[0].terms == {
@@ -85,7 +85,7 @@ def test_parse_rational_literal_and_parens():
 
 
 def test_parse_unary_minus():
-    _, polys = parse_system("ring: x\npolys:\n-x^2 + 3\n")
+    polys = parse_system("ring: x\npolys:\n-x^2 + 3\n")
     assert polys[0].terms == {(2,): -1, (0,): 3}
 
 
@@ -143,6 +143,28 @@ def test_parse_error_duplicate_ring():
 def test_parse_error_bad_variable_name():
     with pytest.raises(ParseError):
         parse_system("ring: x, 2y\npolys:\nx\n")
+
+
+@pytest.mark.parametrize(
+    "expression, column",
+    [
+        ("x + %s", 5),  # coefficient
+        ("1/%s*x", 3),  # denominator
+        ("x^%s", 3),  # exponent
+    ],
+)
+def test_parse_error_integer_literal_too_long(expression, column):
+    # int() refuses strings of more digits than the interpreter's limit
+    # (4300 by default); the literal is then a parse error at its position
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = "ring: x\npolys:\n%s\n" % (expression % ("1" * 4301))
+        with pytest.raises(ParseError, match="of 4301 digits is too long") as err:
+            parse_system(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (err.value.line, err.value.column) == (3, column)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +347,18 @@ def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch):
     assert err.startswith("input error: line 3, column 1: unexpected character")
 
 
+def test_undecodable_stdin_exit_code(capsys, monkeypatch):
+    # a strictly decoding stdin fails in read(); exit 1 means "no classes
+    # found", so the error must not escape as a traceback
+    raw = io.BytesIO(b"ring: x\npolys:\nx\xff\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+    code, out, err = run_cli(capsys, "classes", "--input", "-")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("input error: ") and "utf-8" in err
+
+
 def test_homogenize_collision_exit_code(tmp_path, capsys):
     path = tmp_path / "t.txt"
     path.write_text("ring: t, x\npolys:\nt*x\n")
@@ -444,6 +478,19 @@ def test_limit_failures_exit_2_with_one_line(
     assert err.count("\n") == 1 and err.startswith("limit error: ")
 
 
+def test_subduction_cap_hit_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # the lift of y3 - y1^2 is y + 1, which takes two subduction steps
+    path = tmp_path / "system.txt"
+    path.write_text("ring: x, y\npolys:\nx\ny\nx^2 + y + 1\n")
+    code, _, _ = run_cli(capsys, "detect-sagbi", "--input", str(path))
+    assert code == 0
+    monkeypatch.setattr(sagbi, "SUBDUCTION_CAP", 1)
+    code, out, err = run_cli(capsys, "detect-sagbi", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "limit error: subduction did not finish within 1 steps\n"
+
+
 def test_universal_stops_at_first_failing_class(tmp_path, capsys, monkeypatch):
     F = systems.non_sagbi_trio()
     classes = extract_weight_vectors(F)
@@ -453,9 +500,9 @@ def test_universal_stops_at_first_failing_class(tmp_path, capsys, monkeypatch):
     assert first_failure + 1 < len(classes)
     checked = []
 
-    def counting(polys, cls, max_steps, **kwargs):
+    def counting(polys, cls, **kwargs):
         checked.append(cls)
-        return is_sagbi_subduction(polys, cls, max_steps, **kwargs)
+        return is_sagbi_subduction(polys, cls, **kwargs)
 
     monkeypatch.setattr(sagbi, "is_sagbi_subduction", counting)
     path = write_system(tmp_path, F)
@@ -527,7 +574,7 @@ def test_power_stays_within_term_cap(monkeypatch):
         return multiply(self, other)
 
     monkeypatch.setattr(Polynomial, "__mul__", counting)
-    system, polys = parse_system("ring: a, b, c, d, e, f\npolys:\n(a+b+c+d+e+f)^9\n")
+    polys = parse_system("ring: a, b, c, d, e, f\npolys:\n(a+b+c+d+e+f)^9\n")
     assert len(polys[0].terms) == 2002
     assert max(pairs) <= MAX_TERMS
     with pytest.raises(ParseError, match="column 14"):

@@ -65,7 +65,7 @@ def assert_sample_matches_oracle(polys, rng, count):
 
 
 def system_file(name):
-    return parse_system((SYSTEMS_DIR / (name + ".sys")).read_text())[1]
+    return parse_system((SYSTEMS_DIR / (name + ".sys")).read_text())
 
 
 CHEAP = [

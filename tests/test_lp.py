@@ -16,7 +16,6 @@ import pytest
 from basisdetect import extract_weight_vectors
 from basisdetect import lp as lp_mod
 from basisdetect.lp import UnboundedError, cone_weight, maximize
-from basisdetect.polyring import normalize_weight
 
 import lp_oracle
 import systems
@@ -150,7 +149,7 @@ def weight_of(value, point, n):
     if value <= 0:
         return None
     denom = math.lcm(*(x.denominator for x in point[:n]))
-    return normalize_weight(x * denom for x in point[:n])
+    return lp_oracle.normalize_weight(x * denom for x in point[:n])
 
 
 def assert_cone_agrees(rows, n):

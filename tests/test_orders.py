@@ -12,7 +12,6 @@ from basisdetect import (
     TermOrder,
     cone_feasibility,
     extract_weight_vectors,
-    initial_term,
     leading_tuple,
     normalized_volume,
     polytope_dim,
@@ -109,7 +108,7 @@ def test_extract_certificates_are_sound():
         for cls in extract_weight_vectors(F):
             order = TermOrder(cls.weight)
             for f, lead in zip(F, cls.leads):
-                assert initial_term(f, order)[0] == lead
+                assert order.leading_term(f)[0] == lead
 
 
 def test_extract_distinct_tuples():

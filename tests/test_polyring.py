@@ -10,12 +10,11 @@ from basisdetect import (
     TermOrder,
     homogenize_with_t,
     initial_form,
-    initial_term,
-    normalize_weight,
     ring,
     s_polynomial,
-    support,
 )
+
+from lp_oracle import normalize_weight
 
 
 @pytest.fixture
@@ -55,7 +54,7 @@ def test_mul_segment_support(xy):
     # (x^2+y^2) * xy * y^2 has support on the segment (3,3)..(1,5)
     R, x, y = xy
     product = (x**2 + y**2) * (x * y) * y**2
-    assert support(product) == {(3, 3), (1, 5)}
+    assert product.support() == {(3, 3), (1, 5)}
 
 
 def test_ring_mismatch_rejected(xy):
@@ -74,26 +73,26 @@ def test_ring_mismatch_rejected(xy):
 def test_initial_term_weighted(xy):
     R, x, y = xy
     f = x**2 + y**2
-    assert initial_term(f, TermOrder((2, 1))) == ((2, 0), Fraction(1))
+    assert TermOrder((2, 1)).leading_term(f) == ((2, 0), Fraction(1))
 
 
 def test_initial_term_lex_tiebreak(xy):
     R, x, y = xy
     f = x**2 + y**2
-    assert initial_term(f, TermOrder((1, 1)))[0] == (2, 0)
+    assert TermOrder((1, 1)).leading_term(f)[0] == (2, 0)
 
 
 def test_initial_term_constant_never_leads(xy):
     R, x, y = xy
     f = R.constant(2) * x * y - R.constant(1)
     for weight in [(1, 1), (1, 0), (0, 1), (5, 3)]:
-        assert initial_term(f, TermOrder(weight)) == ((1, 1), Fraction(2))
+        assert TermOrder(weight).leading_term(f) == ((1, 1), Fraction(2))
 
 
 def test_initial_term_of_zero_rejected(xy):
     R, x, y = xy
     with pytest.raises(ValueError):
-        initial_term(R.zero(), TermOrder((1, 1)))
+        TermOrder((1, 1)).leading_term(R.zero())
 
 
 def test_initial_form_symmetric_tie(xy):
@@ -113,9 +112,9 @@ def test_initial_form_weighted_three_vars():
 
 def test_support(xy):
     R, x, y = xy
-    assert support(x * y) == {(1, 1)}
-    assert support(x**2 + y**2) == {(2, 0), (0, 2)}
-    assert support(R.zero()) == frozenset()
+    assert (x * y).support() == {(1, 1)}
+    assert (x**2 + y**2).support() == {(2, 0), (0, 2)}
+    assert R.zero().support() == frozenset()
 
 
 def test_homogenize_with_t(xy):
@@ -167,10 +166,10 @@ def test_term_order_weight_must_fit_the_ring(xy):
     R, x, y = xy
     f = x + y**5
     with pytest.raises(ValueError, match="weight length"):
-        initial_term(f, TermOrder((1,)))
+        TermOrder((1,)).leading_term(f)
     with pytest.raises(ValueError, match="weight length"):
-        initial_term(f, TermOrder((0, 1, 5)))
-    assert initial_term(f, TermOrder((1, 1))) == ((0, 5), Fraction(1))
+        TermOrder((0, 1, 5)).leading_term(f)
+    assert TermOrder((1, 1)).leading_term(f) == ((0, 5), Fraction(1))
 
 
 def test_initial_form_weight_must_fit_the_ring(xy):

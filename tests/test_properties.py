@@ -24,7 +24,6 @@ from basisdetect import (
     buchberger,
     extract_weight_vectors,
     initial_form,
-    initial_term,
     is_groebner_basis,
     is_sagbi_hilbert,
     is_sagbi_subduction,
@@ -406,9 +405,9 @@ def test_initial_term_multiplicative():
         f = random_polynomial(rng, nvars)
         g = random_polynomial(rng, nvars)
         order = random_order(rng, nvars)
-        fe, fc = initial_term(f, order)
-        ge, gc = initial_term(g, order)
-        pe, pc = initial_term(f * g, order)
+        fe, fc = order.leading_term(f)
+        ge, gc = order.leading_term(g)
+        pe, pc = order.leading_term(f * g)
         assert pe == tuple(a + b for a, b in zip(fe, ge))
         assert pc == fc * gc
 
@@ -425,5 +424,5 @@ def test_initial_form_generic_weight_is_leading_monomial():
         if len(set(values)) != len(values):
             continue  # not generic for f, skip
         form = initial_form(f, weight)
-        exp, coeff = initial_term(f, TermOrder(weight))
+        exp, coeff = TermOrder(weight).leading_term(f)
         assert form.terms == {exp: coeff}

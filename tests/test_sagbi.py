@@ -22,6 +22,7 @@ from basisdetect import (
     verdicts,
     weight_vectors_realizing_sagbi,
 )
+from basisdetect import sagbi
 from basisdetect.orders import LatticePolytope, OrderClass
 from basisdetect.polyring import dot
 from basisdetect.sagbi import _power_product, _sagbi_failure_witness, _SharedRelations
@@ -106,34 +107,35 @@ def test_subduction_remainder_certificate():
     )
 
 
-def test_subduction_step_cap():
+def _two_step_system():
+    # the lift of y3 - y1^2 is y + 1, which subduces in two steps, y and 1,
+    # for both classes
+    R = ring("x", "y")
+    x, y = R.variable("x"), R.variable("y")
+    return [x, y, x**2 + y + R.constant(1)]
+
+
+def test_subduction_step_cap(monkeypatch):
     F, green, _ = _green_red()
     R = F[0].ring
     x, y = R.variable("x"), R.variable("y")
     f = x**4 + y**6
     full = subduction(f, F, TermOrder(green.weight))
     assert len(full.steps) > 1
-    with pytest.raises(SubductionLimitError):
-        subduction(f, F, TermOrder(green.weight), max_steps=1)
+    monkeypatch.setattr(sagbi, "SUBDUCTION_CAP", 1)
+    with pytest.raises(SubductionLimitError, match="within 1 steps"):
+        subduction(f, F, TermOrder(green.weight))
+    # a subduction that finishes in one step stays within a cap of one
+    x = ring("x", "y").variable("x")
+    assert subduction(x**2, [x], TermOrder((1, 1))).remainder.is_zero()
 
 
-@pytest.mark.parametrize("max_steps", [0, -3])
-def test_subduction_cap_below_one_rejected(max_steps):
-    # a cap below 1 ran no step at all and blamed the input with
-    # "did not finish within 0 steps"
-    F, green, _ = _green_red()
-    R = ring("x", "y")
-    x = R.variable("x")
-    match = "at least 1, got %d" % max_steps
-    with pytest.raises(ValueError, match=match):
-        subduction(x**2, [x], TermOrder((1, 1)), max_steps=max_steps)
-    with pytest.raises(ValueError, match=match):
-        is_sagbi_subduction(F, green, max_steps)
-    with pytest.raises(ValueError, match=match):
-        weight_vectors_realizing_sagbi(F, max_steps=max_steps)
-    with pytest.raises(ValueError, match=match):
-        verdicts(F, "subduction", max_steps=max_steps)
-    assert subduction(x**2, [x], TermOrder((1, 1)), max_steps=1).remainder.is_zero()
+def test_subduction_cap_hit_in_detection(monkeypatch):
+    F = _two_step_system()
+    assert all(ok for _, ok in verdicts(F, "subduction"))
+    monkeypatch.setattr(sagbi, "SUBDUCTION_CAP", 1)
+    with pytest.raises(SubductionLimitError, match="within 1 steps"):
+        list(verdicts(F, "subduction"))
 
 
 def test_generating_set_only_after_low_relations(monkeypatch):

@@ -7,8 +7,11 @@ frozen one, the same ``repr``, and pickling, which ``--jobs`` needs to
 send classes and polynomials to worker processes.
 """
 
+import importlib
 import pickle
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,6 @@ from basisdetect import (
     SubductionResult,
     ToricBinomial,
 )
-from basisdetect.cli import SystemFile
 
 R = PolynomialRing(("x", "y"))
 X = R.variable("x")
@@ -80,12 +82,6 @@ MUTABLE = [
         SubductionResult(remainder=X, steps=[(Fraction(1, 2), (1, 0))]),
         SubductionResult(X, []),
         "SubductionResult(remainder=x, steps=[(Fraction(1, 2), (1, 0))])",
-    ),
-    (
-        SystemFile(["x"], ["x^2"]),
-        SystemFile(variables=["x"], polynomials=["x^2"], options={}),
-        SystemFile(["x"], ["x^2"], {"k": "v"}),
-        "SystemFile(variables=['x'], polynomials=['x^2'], options={})",
     ),
 ]
 
@@ -172,7 +168,7 @@ def test_public_names_come_from_their_layer_modules():
     assert basisdetect.OrderClass is orders.OrderClass
     assert basisdetect.rank_orders is sagbi.rank_orders
     # moved to polyring, still exported by sagbi
-    for name in ("SubductionLimitError", "HilbertBoundWarning", "DEFAULT_SUBDUCTION_CAP"):
+    for name in ("SubductionLimitError", "HilbertBoundWarning"):
         assert getattr(sagbi, name) is getattr(basisdetect.polyring, name)
 
 
@@ -188,3 +184,19 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(basisdetect, "no_such_name")
     with pytest.raises(ImportError):
         exec("from basisdetect import no_such_name", {})
+
+
+def test_readme_key_operations_resolve():
+    # every backticked name in the README's table of key operations is an
+    # attribute (or a dotted path of attributes) of its row's module
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text().split("Key operations, by module:", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", table, re.M)
+    assert len(rows) == 7
+    for module_name, contents in rows:
+        module = importlib.import_module("basisdetect." + module_name)
+        for name in re.findall(r"`([A-Za-z_][\w.]*)`", contents):
+            value = module
+            for part in name.split("."):
+                assert hasattr(value, part), (module_name, name)
+                value = getattr(value, part)
