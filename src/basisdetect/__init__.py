@@ -52,7 +52,6 @@ _EXPORTS = {
         "ring",
     ),
     "sagbi": (
-        "HilbertVector",
         "SubductionResult",
         "hilbert_vector",
         "is_sagbi_hilbert",

@@ -128,13 +128,11 @@ class _ExprParser:
         return poly
 
     def expression(self) -> Polynomial:
+        # a leading '-' is the unary minus of ``factor``
         kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
+        if kind == "op" and value == "+":
             self.advance()
-            poly = self.term()
-            poly = -poly if value == "-" else poly
-        else:
-            poly = self.term()
+        poly = self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":

@@ -12,7 +12,7 @@ import heapq
 from math import gcd, lcm
 from operator import mul, sub
 
-from .polyring import Exponent, MonomialOrder, Polynomial, _Record, check_generators
+from .polyring import Exponent, Polynomial, TermOrder, _Record, check_generators
 from .polyring import _add_multiple, _divides
 
 
@@ -38,7 +38,7 @@ def _coprime(a: Exponent, b: Exponent) -> bool:
 
 
 def normal_form(
-    f: Polynomial, divisors: list[Polynomial], order: MonomialOrder
+    f: Polynomial, divisors: list[Polynomial], order: TermOrder
 ) -> DivisionResult:
     """Multivariate division of f by an ordered list of divisors.
 
@@ -58,7 +58,7 @@ def normal_form(
     return DivisionResult([Polynomial(f.ring, q) for q in quotients], remainder)
 
 
-def _divisor(g: Polynomial, order: MonomialOrder) -> tuple:
+def _divisor(g: Polynomial, order: TermOrder) -> tuple:
     """g as ``_remainder`` takes it: (lead exponent, lead coefficient,
     terms)."""
     return (*order.leading_term(g), g.terms)
@@ -87,7 +87,7 @@ def _remainder(f, divisors, order, quotients=None) -> Polynomial:
     return Polynomial(f.ring, remainder)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     """Classical S-pair: both polynomials are scaled so the lcm of their
     leading monomials cancels."""
     f._check_ring(g)
@@ -139,7 +139,7 @@ def _reduces_to_zero(work: dict, divisors: list, key) -> bool:
     return True
 
 
-def is_groebner_basis(polys: list[Polynomial], order: MonomialOrder) -> bool:
+def is_groebner_basis(polys: list[Polynomial], order: TermOrder) -> bool:
     """Buchberger's S-pair criterion for a fixed total order.
 
     Pairs with coprime leading exponents are skipped (product criterion).
@@ -166,7 +166,7 @@ def is_groebner_basis(polys: list[Polynomial], order: MonomialOrder) -> bool:
     return True
 
 
-def buchberger(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+def buchberger(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
     """A reduced Groebner basis of the ideal generated by the input.
 
     Plain Buchberger with the product (coprime-lead) and chain criteria;
@@ -228,7 +228,7 @@ def _chain(leads, pending, i, j, lcm_exp) -> bool:
     )
 
 
-def interreduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+def interreduce(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
     """Minimalize leading terms, then fully reduce tails; monic output."""
     items = sorted(
         ((order.leading_exponent(g), g) for g in polys),

@@ -257,33 +257,15 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return all(map(le, a, b))
 
 
-class MonomialOrder:
-    """Base for total monomial orders; subclasses supply ``key``.
-
-    ``key`` maps an exponent tuple to a sortable value, larger key meaning
-    larger monomial.
-    """
-
-    def key(self, exponent: Exponent):
-        raise NotImplementedError
-
-    def leading_exponent(self, f: Polynomial) -> Exponent:
-        if f.is_zero():
-            raise ValueError("the zero polynomial has no leading term")
-        return max(f.terms, key=self.key)
-
-    def leading_term(self, f: Polynomial) -> tuple[Exponent, Fraction]:
-        exp = self.leading_exponent(f)
-        return exp, f.terms[exp]
-
-
-class TermOrder(MonomialOrder):
+class TermOrder:
     """Total order on monomials: weight comparison refined by lex.
 
     Compares x^a against x^b by <weight, a> vs <weight, b>, breaking ties
     lexicographically on the ring's declared variable sequence (first
     variable most significant).  With a nonnegative weight this is a genuine
     term order: 1 is the minimum and the order respects multiplication.
+    ``key`` maps an exponent tuple to a sortable value, larger key meaning
+    larger monomial.
     """
 
     __slots__ = ("weight",)
@@ -302,13 +284,19 @@ class TermOrder(MonomialOrder):
     def __reduce__(self):
         return (TermOrder, (self.weight,))
 
+    def key(self, exponent: Exponent):
+        return (dot(self.weight, exponent), exponent)
+
     def leading_exponent(self, f: Polynomial) -> Exponent:
         if len(self.weight) != f.ring.nvars:
             raise ValueError("weight length differs from the number of variables")
-        return super().leading_exponent(f)
+        if f.is_zero():
+            raise ValueError("the zero polynomial has no leading term")
+        return max(f.terms, key=self.key)
 
-    def key(self, exponent: Exponent):
-        return (dot(self.weight, exponent), exponent)
+    def leading_term(self, f: Polynomial) -> tuple[Exponent, Fraction]:
+        exp = self.leading_exponent(f)
+        return exp, f.terms[exp]
 
     def __repr__(self) -> str:
         return "TermOrder(%r)" % (self.weight,)

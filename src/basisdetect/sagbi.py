@@ -51,12 +51,10 @@ from .orders import (
 )
 from .polyring import (
     HilbertBoundWarning,
-    MonomialOrder,
     Polynomial,
     SubductionLimitError,
     TermOrder,
     _add_multiple,
-    _FrozenRecord,
     _Record,
     check_generators,
 )
@@ -107,7 +105,7 @@ def _power_product(
 
 
 def subduction(
-    f: Polynomial, polys: list[Polynomial], order: MonomialOrder
+    f: Polynomial, polys: list[Polynomial], order: TermOrder
 ) -> SubductionResult:
     """Rewrite the leading term of f as a monomial in the leading terms of
     the generators, repeatedly, until that fails or f vanishes.
@@ -269,15 +267,6 @@ def is_sagbi_subduction(
 # Hilbert-function criterion (homogeneous generators)
 
 
-class HilbertVector(_FrozenRecord):
-    """Dimensions of the graded pieces for degrees 1..bound."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[int, ...]):
-        self._set(values)
-
-
 def _require_homogeneous(polys: list[Polynomial]) -> None:
     for i, f in enumerate(polys, 1):
         if not f.is_homogeneous():
@@ -303,26 +292,6 @@ def _rank_of_polynomials(polys: list[Polynomial]) -> int:
                 break
             _add_multiple(row, -row[lead], None, pivot)
     return rank
-
-
-def _positive_degree_parts(polys, leads=None):
-    """Degrees of the generators, dropping degree-0 (constant) ones.
-
-    Nonzero constants only contribute scalars to both the subalgebra and
-    the algebra of leading monomials, so neither Hilbert function sees
-    them.  Returns (generators, leading exponents, degrees) filtered.
-    """
-    kept_polys = []
-    kept_leads = []
-    degrees = []
-    for i, f in enumerate(polys):
-        d = f.total_degree()
-        if d == 0:
-            continue
-        kept_polys.append(f)
-        kept_leads.append(leads[i] if leads is not None else None)
-        degrees.append(d)
-    return kept_polys, kept_leads, degrees
 
 
 def _require_positive_bound(bound: int) -> None:
@@ -358,9 +327,9 @@ def _resolve_hilbert_bound(polys: list[Polynomial], bound: int | None) -> int:
     return limit
 
 
-def _initial_algebra_counts(leads, degrees, bound: int) -> tuple[int, ...]:
+def _initial_algebra_counts(leads, bound: int) -> tuple[int, ...]:
     """Number of distinct monomials in each degree 1..bound of the algebra
-    generated by the monomials x^lead_i, of degrees d_i > 0.
+    generated by the monomials x^lead_i, of degrees d_i = |lead_i| > 0.
 
     The monomials of degree t are S_t = union of (S_{t - d_i} + lead_i) over
     i, from S_0 = {1}.  Each monomial is one int with a bit field per
@@ -370,10 +339,11 @@ def _initial_algebra_counts(leads, degrees, bound: int) -> tuple[int, ...]:
     """
     width = bound.bit_length()
     steps = {
-        (sum(e << (width * j) for j, e in enumerate(lead)), d)
-        for lead, d in zip(leads, degrees)
+        (sum(e << (width * j) for j, e in enumerate(lead)), sum(lead))
+        for lead in leads
     }
-    window = deque([set()] * (max(degrees) - 1) + [{0}], maxlen=max(degrees))
+    depth = max((d for _, d in steps), default=1)
+    window = deque([set()] * (depth - 1) + [{0}], maxlen=depth)
     counts = []
     for t in range(1, bound + 1):
         layer: set = set()
@@ -386,9 +356,9 @@ def _initial_algebra_counts(leads, degrees, bound: int) -> tuple[int, ...]:
 
 def _subalgebra_matcher(polys: list[Polynomial]):
     """``matches(vector)``: whether the Hilbert function of the subalgebra
-    generated by the homogeneous ``polys`` equals the HilbertVector
-    ``vector`` in its degrees 1..bound; it stops at the first degree that
-    differs.
+    generated by the homogeneous ``polys`` equals the Hilbert vector
+    ``vector`` (its values in degrees 1..bound, as ``hilbert_vector``
+    returns them); it stops at the first degree that differs.
 
     That Hilbert function does not depend on the term order, so one matcher
     serves every class: each degree's value, the rank of all power products
@@ -398,19 +368,19 @@ def _subalgebra_matcher(polys: list[Polynomial]):
     copy of its last generator less; only the last max(d_i) layers are
     kept, each product with the index of its last generator.
     """
-    kept, _, degrees = _positive_degree_parts(polys)
-    steps = list(enumerate(zip(kept, degrees)))
-    depth = max(degrees, default=1)
+    # constant generators add only scalars, which no degree >= 1 counts
+    steps = [(i, f, d) for i, f in enumerate(polys) if (d := f.total_degree())]
+    depth = max((d for _, _, d in steps), default=1)
     one = [(0, polys[0].ring.constant(1))]
     window = deque([[]] * (depth - 1) + [one], maxlen=depth)
     known: list[int] = []
 
-    def matches(vector: HilbertVector) -> bool:
-        for t, value in enumerate(vector.values, 1):
+    def matches(vector: tuple[int, ...]) -> bool:
+        for t, value in enumerate(vector, 1):
             if t > len(known):
                 layer = [
                     (i, p * f)
-                    for i, (f, d) in steps
+                    for i, f, d in steps
                     for j, p in window[-d]
                     if j <= i
                 ]
@@ -438,7 +408,7 @@ def is_sagbi_hilbert(
 
 def hilbert_vector(
     polys: list[Polynomial], cls: OrderClass, bound: int
-) -> HilbertVector:
+) -> tuple[int, ...]:
     """Hilbert function of the leading-monomial algebra, degrees 1..bound.
 
     A bound below 1 is a ValueError.
@@ -447,10 +417,8 @@ def hilbert_vector(
     check_generators(polys)
     _require_homogeneous(polys)
     _certified_order(polys, cls)
-    _, kept_leads, degrees = _positive_degree_parts(polys, cls.leads)
-    if not kept_leads:
-        return HilbertVector((0,) * bound)
-    return HilbertVector(_initial_algebra_counts(kept_leads, degrees, bound))
+    # the leads of constant generators are 0 and add only scalars
+    return _initial_algebra_counts([e for e in cls.leads if any(e)], bound)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +429,7 @@ class RankGroup(list):
     """Classes tied under a ranking criterion, with their shared score.
 
     ``score`` is the (dimension, normalized volume) pair for 'nicer' and
-    the Hilbert vector values for 'preferable'.
+    the Hilbert vector for 'preferable'.
     """
 
     def __init__(self, score, classes=()):
@@ -491,7 +459,7 @@ def rank_orders(
         limit = _resolve_hilbert_bound(polys, bound)
 
         def score(cls: OrderClass):
-            return hilbert_vector(polys, cls, limit).values
+            return hilbert_vector(polys, cls, limit)
 
     scored = [(score(cls), cls) for cls in extract_weight_vectors(polys)]
     scored.sort(key=lambda item: item[0], reverse=True)

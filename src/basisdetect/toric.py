@@ -11,10 +11,10 @@ so the Buchberger algorithm here works on pairs of exponent vectors only,
 with the product and chain criteria to skip pairs.
 
 ``relations_up_to_degree`` lists the relations of low degree directly: the
-column multisets up to that size, from ``combinations_with_replacement``,
-grouped by the sum of their columns.  Both lists depend only on the
-lattice ker A, which ``_lattice_key`` names by a canonical basis of A's
-row space.
+column multisets up to that size, grouped by the sum of their columns,
+each paired with the earlier ones it shares no column with.  Both lists
+depend only on the lattice ker A, which ``_lattice_key`` names by a
+canonical basis of A's row space.
 
 ``solve_monomial_membership`` decides whether a monomial x^b lies in the
 multiplicative monoid generated by the x^alpha_i, i.e. solves A v = b over
@@ -290,28 +290,34 @@ def _lattice_key(matrix: ExponentMatrix) -> tuple:
 
 
 def relations_up_to_degree(matrix: ExponentMatrix, max_degree: int) -> list[ToricBinomial]:
-    """Binomial relations y^u - y^v with both sides of degree <= max_degree.
+    """The binomial relations y^u - y^v of A whose two sides have disjoint
+    supports and degree <= max_degree, with y^u the graded-lex lead, sorted
+    by (u, v) in graded-lex order; a relation to 1 (v = 0, from zero
+    columns only) appears only when u has degree below max_degree.
 
-    Found by hashing column multisets on their exponent sums; generally NOT
-    a generating set of the relation ideal, but every returned pair is a
-    genuine relation, which makes this useful as a cheap failure witness
-    scan before the full elimination.
+    Generally NOT a generating set of the relation ideal, but a cheap
+    failure-witness scan before the full elimination.  Each new column
+    multiset is paired only with the earlier ones of its fiber (equal
+    column sums) that share no column with it: a pair with a common part
+    is that part times a pair of lower degree.  The empty multiset seeds
+    the zero fiber, for the relations to 1.
     """
     s, columns = matrix.ncols, matrix.columns
-    groups: dict = {}
-    out = set()
+    zero_fiber = [(0, (0,) * s)]  # (support mask, multiset) of the empty one
+    fibers: dict = {(0,) * matrix.nrows: zero_fiber}
+    out = []
     for size in range(1, max_degree + 1):
+        if size == max_degree:
+            del zero_fiber[0]  # relations to 1 have degree below max_degree
         for combo in combinations_with_replacement(range(s), size):
             u = tuple(map(combo.count, range(s)))
+            mask = sum(1 << i for i in set(combo))
             key = tuple(map(sum, zip(*map(columns.__getitem__, combo))))
-            # two distinct multisets stay distinct without their common part
-            for v in groups.get(key, ()):
-                common = tuple(min(a, b) for a, b in zip(u, v))
-                uu = tuple(a - c for a, c in zip(u, common))
-                vv = tuple(b - c for b, c in zip(v, common))
-                first, second = sorted((uu, vv), key=_grlex_key, reverse=True)
-                out.add(ToricBinomial(first, second))
-            groups.setdefault(key, []).append(u)
+            fiber = fibers.setdefault(key, [])
+            for other, v in fiber:
+                if not mask & other:
+                    out.append(ToricBinomial(*sorted((u, v), key=_grlex_key)[::-1]))
+            fiber.append((mask, u))
     return sorted(out, key=lambda b: (_grlex_key(b.u), _grlex_key(b.v)))
 
 

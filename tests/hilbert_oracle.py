@@ -7,19 +7,55 @@ counted.  The Hilbert criterion recomputes the subalgebra's ranks for the
 class it checks, one degree after the other, and stops at the first degree
 where the two functions differ.  Its power products are its own, each
 prod(F_i ** v_i) taken with ``Polynomial.__pow__`` and ``*`` for every
-listed v, so that no product comes from the code under test.
+listed v, so that no product comes from the code under test, and ranked
+by its own ``Fraction`` elimination.  The oracle reads nothing private of
+``basisdetect``: its input checks go through ``Polynomial.is_homogeneous``
+and ``leading_tuple``.
 """
 
 from __future__ import annotations
 
-from basisdetect import ExponentMatrix, Polynomial
+from fractions import Fraction
+
+from basisdetect import ExponentMatrix, Polynomial, leading_tuple
 from basisdetect.orders import OrderClass
-from basisdetect.sagbi import (
-    _certified_order,
-    _positive_degree_parts,
-    _rank_of_polynomials,
-    _require_homogeneous,
-)
+
+
+def _checked_parts(polys: list[Polynomial], cls: OrderClass):
+    """The generators of positive degree, their leads under the class
+    order and their degrees; constants add only scalars, which no degree
+    >= 1 counts.  Inhomogeneous generators, or a class that does not
+    certify its leads, are a ValueError."""
+    if not all(f.is_homogeneous() for f in polys):
+        raise ValueError("Hilbert functions need homogeneous generators")
+    if leading_tuple(polys, cls.order()) != cls.leads:
+        raise ValueError("order class is not certified for these polynomials")
+    parts = [(f, lead) for f, lead in zip(polys, cls.leads) if f.total_degree()]
+    kept = [f for f, _ in parts]
+    return kept, [lead for _, lead in parts], [f.total_degree() for f in kept]
+
+
+def rank(polys: list[Polynomial]) -> int:
+    """Rank of the coefficient matrix: each row is reduced at its smallest
+    exponent by the pivot row kept for that exponent, until it vanishes or
+    becomes the pivot of a new exponent."""
+    pivots: dict = {}
+    for f in polys:
+        row = {e: Fraction(c) for e, c in f.terms.items()}
+        while row:
+            smallest = min(row)
+            pivot = pivots.get(smallest)
+            if pivot is None:
+                pivots[smallest] = row
+                break
+            factor = row[smallest] / pivot[smallest]
+            for e, c in pivot.items():
+                value = row.get(e, 0) - factor * c
+                if value:
+                    row[e] = value
+                else:
+                    row.pop(e, None)
+    return len(pivots)
 
 
 def graded_multiplicities(degrees: list[int], total: int):
@@ -63,15 +99,13 @@ def subalgebra_hilbert(polys: list[Polynomial], degrees, total: int) -> int:
         power_product(polys, v)
         for v in graded_multiplicities(list(degrees), total)
     ]
-    return _rank_of_polynomials(products)
+    return rank(products)
 
 
 def hilbert_vector(
     polys: list[Polynomial], cls: OrderClass, bound: int
 ) -> tuple[int, ...]:
-    _require_homogeneous(polys)
-    _certified_order(polys, cls)
-    _, kept_leads, degrees = _positive_degree_parts(polys, cls.leads)
+    _, kept_leads, degrees = _checked_parts(polys, cls)
     if not kept_leads:
         return (0,) * bound
     matrix = ExponentMatrix(kept_leads)
@@ -81,9 +115,7 @@ def hilbert_vector(
 
 
 def is_sagbi_hilbert(polys: list[Polynomial], cls: OrderClass, limit: int) -> bool:
-    _require_homogeneous(polys)
-    _certified_order(polys, cls)
-    kept, kept_leads, degrees = _positive_degree_parts(polys, cls.leads)
+    kept, kept_leads, degrees = _checked_parts(polys, cls)
     if not kept:
         return True
     matrix = ExponentMatrix(kept_leads)

@@ -89,6 +89,30 @@ def test_parse_unary_minus():
     assert polys[0].terms == {(2,): -1, (0,): 3}
 
 
+@pytest.mark.parametrize(
+    "expression, terms",
+    [
+        ("-x^2", {(2, 0): -1}),
+        ("-x*y", {(1, 1): -1}),
+        ("2*-x", {(1, 0): -2}),
+        ("x - -y", {(1, 0): 1, (0, 1): 1}),
+        ("--x", {(1, 0): 1}),
+    ],
+)
+def test_parse_unary_minus_negates_its_factor(expression, terms):
+    # '-' before a factor negates that factor, at the start or anywhere else
+    polys = parse_system("ring: x, y\npolys:\n%s\n" % expression)
+    assert polys[0].terms == terms
+
+
+@pytest.mark.parametrize("expression", ["-", "-+x"])
+def test_parse_error_after_unary_minus(expression):
+    # the factor after '-' is missing: the error points at what follows it
+    with pytest.raises(ParseError, match="expected a variable") as err:
+        parse_system("ring: x, y\npolys:\n%s\n" % expression)
+    assert (err.value.line, err.value.column) == (3, 2)
+
+
 def test_parse_error_undeclared_variable():
     with pytest.raises(ParseError) as err:
         parse_system("ring: x\npolys:\nx + y\n")

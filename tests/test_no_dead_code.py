@@ -4,7 +4,8 @@ A ``_private`` function, class or method is not part of the public API,
 so only the package itself can call it.  One that nothing in ``src/``
 reads, other than its own body, is dead code; a change that removes the
 last caller of a helper must remove the helper too.  Tests do not count
-as readers.
+as readers.  In the same way, every name a module imports must be read in
+that module: an import left behind by a deleted reader is dead too.
 """
 
 import ast
@@ -47,4 +48,33 @@ def test_every_private_definition_is_read():
             for ref_file, ref_name, line in references
         )
     ]
+    assert not unread, unread
+
+
+def _imported_names(tree):
+    """(name, line) for every name an import statement binds, except the
+    ``__future__`` feature flags."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            "%s: %s (line %d)" % (path.name, name, line)
+            for name, line in _imported_names(tree)
+            if name not in read
+        ]
     assert not unread, unread

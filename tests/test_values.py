@@ -19,7 +19,6 @@ import basisdetect
 from basisdetect import (
     DivisionResult,
     ExponentMatrix,
-    HilbertVector,
     LatticePolytope,
     OrderClass,
     PolynomialRing,
@@ -49,12 +48,6 @@ FROZEN = [
         LatticePolytope(points=[(0, 1), (1, 0)]),
         LatticePolytope([(0, 1)]),
         "LatticePolytope(points=((0, 1), (1, 0)))",
-    ),
-    (
-        HilbertVector((1, 2, 3)),
-        HilbertVector(values=(1, 2, 3)),
-        HilbertVector((1, 2, 4)),
-        "HilbertVector(values=(1, 2, 3))",
     ),
     (
         ExponentMatrix([(1, 0), (0, 1)]),

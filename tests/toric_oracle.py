@@ -15,11 +15,14 @@ return exactly the same list.
 from __future__ import annotations
 
 from basisdetect import Polynomial, PolynomialRing, ToricBinomial, buchberger
-from basisdetect.polyring import MonomialOrder
 
 
-class EliminationOrder(MonomialOrder):
-    """Block order: x-block dominates y-block, graded-lex inside each."""
+class EliminationOrder:
+    """Block order: x-block dominates y-block, graded-lex inside each.
+
+    It offers what ``buchberger`` reads of a ``TermOrder``: ``key``,
+    ``leading_exponent`` and ``leading_term``.
+    """
 
     def __init__(self, nx: int):
         self.nx = nx
@@ -28,6 +31,13 @@ class EliminationOrder(MonomialOrder):
         x = exponent[: self.nx]
         y = exponent[self.nx :]
         return (sum(x), x, sum(y), y)
+
+    def leading_exponent(self, f):
+        return max(f.terms, key=self.key)
+
+    def leading_term(self, f):
+        exp = self.leading_exponent(f)
+        return exp, f.terms[exp]
 
 
 def _grlex_key(e) -> tuple:

@@ -1,11 +1,25 @@
-"""Reference facet-scan triangulation, kept as a test oracle for the volume.
+"""Reference volume, kept as a test oracle for ``normalized_volume``.
 
-``normalized_volume`` in ``basisdetect.orders`` sums |det| over a placing
-triangulation.  This is the earlier recursive fan triangulation: facets are
-found by testing every d-subset of the points with an exact ``Fraction``
-normal, and each facet not through the apex is triangulated in its own
-lattice.  Any triangulation has the same volume, so both must agree.  The
-facet scan costs C(m, d) eliminations per level, so keep inputs small.
+``normalized_volume`` in ``basisdetect.orders`` rewrites the points in an
+echelon basis of the lattice their differences span and sums |det| over a
+placing triangulation.  This oracle shares no code with it:
+
+- the points are projected onto d coordinates on which their edges have a
+  nonzero d x d minor, d the dimension of their hull.  That projection is
+  injective on the affine span, so it maps the hull onto a
+  full-dimensional hull in Q^d, which the earlier recursive fan
+  triangulation cuts into simplices;
+- a simplex S of that triangulation has normalized volume |det S| / g in
+  the lattice spanned by the edges E, with g the gcd of the d x d minors
+  of the projected E.  By Cauchy-Binet that gcd is the index of the
+  projected lattice in Z^d, the same for every generating set of it.
+
+Facets are found by testing every d-subset of the points with an exact
+``Fraction`` normal, and each facet not through the apex is triangulated
+in the same way, projected onto d - 1 of its coordinates.  Any
+triangulation has the same volume, so both must agree.  The facet scan
+costs C(m, d) eliminations per level and g costs C(m - 1, d)
+determinants, so keep inputs small.
 """
 
 from __future__ import annotations
@@ -14,11 +28,55 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from basisdetect import LatticePolytope
-from basisdetect.orders import (
-    _det, _hermite_basis, _lattice_coordinates, _pivot_columns, _sub
-)
-from basisdetect.polyring import dot
+
+def _sub(p, q) -> tuple:
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def _dot(p, q):
+    return sum(a * b for a, b in zip(p, q))
+
+
+def _echelon(rows) -> dict:
+    """Pivot column -> row of a ``Fraction`` echelon form of the rows."""
+    pivots: dict = {}
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        for col, other in pivots.items():
+            if row[col]:
+                factor = row[col] / other[col]
+                row = [a - factor * b for a, b in zip(row, other)]
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is not None:
+            pivots[lead] = row
+    return pivots
+
+
+def _det(rows) -> Fraction:
+    """Determinant by ``Fraction`` Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            if a[i][k]:
+                factor = a[i][k] / a[k][k]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def _project(points: list) -> list[tuple]:
+    """The points on the pivot columns of their edges from the first one:
+    as many coordinates as the dimension of their hull, on which the edges
+    have a nonzero minor."""
+    columns = sorted(_echelon([_sub(p, points[0]) for p in points[1:]]))
+    return [tuple(p[c] for c in columns) for p in points]
 
 
 def _primitive_normal(edge_rows: list, dim: int) -> tuple[int, ...] | None:
@@ -26,16 +84,7 @@ def _primitive_normal(edge_rows: list, dim: int) -> tuple[int, ...] | None:
 
     Returns None unless the rows span a space of dimension exactly dim - 1.
     """
-    rows = [[Fraction(x) for x in row] for row in edge_rows]
-    pivots = {}
-    for row in rows:
-        for col in pivots:
-            if row[col]:
-                factor = row[col] / pivots[col][col]
-                row[:] = [a - factor * b for a, b in zip(row, pivots[col])]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is not None:
-            pivots[lead] = row
+    pivots = _echelon(edge_rows)
     if len(pivots) != dim - 1:
         return None
     free = next(j for j in range(dim) if j not in pivots)
@@ -46,9 +95,7 @@ def _primitive_normal(edge_rows: list, dim: int) -> tuple[int, ...] | None:
         normal[col] = -sum(row[j] * normal[j] for j in range(col + 1, dim)) / row[col]
     denom = lcm(*(x.denominator for x in normal))
     ints = [int(x * denom) for x in normal]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -72,8 +119,8 @@ def _triangulate_hull(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         )
         if normal is None:
             continue
-        level = dot(normal, base)
-        values = [dot(normal, p) for p in points]
+        level = _dot(normal, base)
+        values = [_dot(normal, p) for p in points]
         if all(v <= level for v in values):
             pass
         elif all(v >= level for v in values):
@@ -88,34 +135,26 @@ def _triangulate_hull(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     apex = min(range(m), key=lambda i: points[i])
     simplices = []
     for (normal, level), facet in sorted(facets.items()):
-        if dot(normal, points[apex]) == level:
+        if _dot(normal, points[apex]) == level:
             continue
-        base = points[facet[0]]
-        fbasis = _hermite_basis([_sub(points[i], base) for i in facet])
-        fpivots = _pivot_columns(fbasis)
-        reduced = [
-            _lattice_coordinates(fbasis, fpivots, _sub(points[i], base))
-            for i in facet
-        ]
-        for simplex in _triangulate_hull(reduced):
+        for simplex in _triangulate_hull(_project([points[i] for i in facet])):
             simplices.append((apex,) + tuple(facet[i] for i in simplex))
     return simplices
 
 
 def oracle_normalized_volume(points) -> int:
     """Normalized volume of the hull of ``points`` in the lattice they span."""
-    pts = LatticePolytope(points).points
-    origin = pts[0]
-    edges = [_sub(p, origin) for p in pts[1:]]
-    basis = _hermite_basis(edges)
-    if not basis:
+    projected = _project(sorted({tuple(p) for p in points}))
+    dim = len(projected[0])
+    if dim == 0:
         return 1
-    pivots = _pivot_columns(basis)
-    reduced = [
-        _lattice_coordinates(basis, pivots, _sub(p, origin)) for p in pts
-    ]
+    edges = [_sub(p, projected[0]) for p in projected[1:]]
+    index = gcd(*(int(_det(rows)) for rows in itertools.combinations(edges, dim)))
     total = 0
-    for simplex in _triangulate_hull(reduced):
-        first = reduced[simplex[0]]
-        total += abs(_det([_sub(reduced[i], first) for i in simplex[1:]]))
+    for simplex in _triangulate_hull(projected):
+        first = projected[simplex[0]]
+        det = abs(int(_det([_sub(projected[i], first) for i in simplex[1:]])))
+        volume, rest = divmod(det, index)
+        assert not rest, (points, simplex)
+        total += volume
     return total
