@@ -18,10 +18,10 @@ more digits than the interpreter converts (4300 by default).
 
 Exit codes: 0 on success (and for ``-h``), 1 when a detect command finds
 no classes, 2 on usage, input or option errors, when a computation hits a
-resource limit (10 000 steps in one subduction, recursion depth), and on
-an output error such as a closed stdout.  Reports go to stdout,
-diagnostics to stderr; a usage error prints a ``usage:`` line and
-``basisdetect: error: <reason>``.
+resource limit (10 000 steps in one subduction, recursion depth, memory:
+``limit error: out of memory``), and on an output error such as a closed
+stdout.  Reports go to stdout, diagnostics to stderr; a usage error
+prints a ``usage:`` line and ``basisdetect: error: <reason>``.
 """
 
 from __future__ import annotations
@@ -416,6 +416,9 @@ def run(args) -> int:
         return 2
     except (SubductionLimitError, RecursionError) as exc:
         print("limit error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("limit error: out of memory", file=sys.stderr)
         return 2
 
 

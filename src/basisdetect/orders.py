@@ -15,6 +15,8 @@ placing (beneath-beyond) triangulation, in exact integer arithmetic.
 
 from __future__ import annotations
 
+from operator import sub
+
 from . import lp
 from .polyring import (
     Exponent,
@@ -153,7 +155,7 @@ class LatticePolytope(_FrozenRecord):
 
 
 def _sub(p: Exponent, q: Exponent) -> tuple[int, ...]:
-    return tuple(a - b for a, b in zip(p, q))
+    return tuple(map(sub, p, q))
 
 
 def _hermite_basis(rows: list) -> list[list[int]]:
@@ -221,10 +223,13 @@ def _det(rows: list) -> int:
             sign = -sign
         p = a[k][k]
         for i in range(k + 1, n):
-            if f := a[i][k]:
+            if not (f := a[i][k]):
+                if p != prev:
+                    a[i] = [p * x // prev for x in a[i]]
+            elif prev == 1:
+                a[i] = [p * x - f * y for x, y in zip(a[i], a[k])]
+            else:
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
-            elif p != prev:
-                a[i] = [p * x // prev for x in a[i]]
         prev = p
     return sign * a[-1][-1]
 

@@ -25,17 +25,22 @@ one run of ``detect.verdicts`` the classes of one lattice share a stream.
 The Hilbert criterion compares two functions of the degree.  The Hilbert
 function of the algebra of leading monomials depends on the class:
 ``hilbert_vector`` builds its monomials degree by degree from the lower
-degrees, as packed integers (one bit field per variable).  That of the
-subalgebra does not depend on the term order (Robbiano & Sweedler 1990):
-it is the rank of the power products of each degree, which are built the
-same way, degree by degree from the lower degrees; it is computed once
-and shared by every class it is compared with.
+degrees, as packed integers (one bit field per variable).  A single-term
+generator has the same lead in every class, so the monoid B those fixed
+leads generate is built once, its layers B_t kept for the classes of a
+run; a class adds only the leads it chooses, as S_t = B_t united with
+(S_{t - d_i} + lead_i) over its other leads.  The Hilbert function of
+the subalgebra does not depend on the term order (Robbiano & Sweedler
+1990): it is the rank of the power products of each degree, which are
+built the same way, degree by degree from the lower degrees; it is
+computed once and shared by every class it is compared with.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import deque
+from functools import lru_cache
 from fractions import Fraction
 
 # used through the module, which loads it on first use: the ranking and
@@ -327,31 +332,38 @@ def _resolve_hilbert_bound(polys: list[Polynomial], bound: int | None) -> int:
     return limit
 
 
-def _initial_algebra_counts(leads, bound: int) -> tuple[int, ...]:
-    """Number of distinct monomials in each degree 1..bound of the algebra
-    generated by the monomials x^lead_i, of degrees d_i = |lead_i| > 0.
+def _layers(base, steps, bound: int):
+    """The monomials of each degree t = 1..bound, one set per degree, of the
+    monoid generated by a monoid whose layers 0..bound are ``base`` and the
+    packed ``steps`` (monomial, degree d_i > 0).
 
-    The monomials of degree t are S_t = union of (S_{t - d_i} + lead_i) over
-    i, from S_0 = {1}.  Each monomial is one int with a bit field per
-    variable (1 is 0), so a product is one addition; a monomial of degree t
-    has no exponent above t <= bound, so fields of bound.bit_length() bits
-    never carry into each other.  Only the last max(d_i) layers are kept.
+    They are S_t = base_t united with (S_{t - d_i} + step_i) over the
+    steps, from S_0 = base_0 = {1}: an element of S_t that uses no step
+    lies in base_t, and any other is a step plus an element of
+    S_{t - d_i}.  Only the last max(d_i) layers are kept.
     """
-    width = bound.bit_length()
-    steps = {
-        (sum(e << (width * j) for j, e in enumerate(lead)), sum(lead))
-        for lead in leads
-    }
     depth = max((d for _, d in steps), default=1)
-    window = deque([set()] * (depth - 1) + [{0}], maxlen=depth)
-    counts = []
+    window = deque([()] * (depth - 1) + [base[0]], maxlen=depth)
     for t in range(1, bound + 1):
-        layer: set = set()
+        layer = set(base[t])
         for packed, d in steps:
             layer.update(map(packed.__add__, window[-d]))
-        counts.append(len(layer))
         window.append(layer)
-    return tuple(counts)
+        yield layer
+
+
+def _monoid_layers(steps, bound: int) -> tuple[tuple[int, ...], ...]:
+    """The monomials of each degree 0..bound of the monoid generated by the
+    packed ``steps``, one tuple per degree."""
+    trivial = ((0,),) + ((),) * bound
+    return trivial[:1] + tuple(map(tuple, _layers(trivial, steps, bound)))
+
+
+@lru_cache(maxsize=1)
+def _shared_monoid(fixed: frozenset, bound: int):
+    """``_monoid_layers`` of the fixed steps of a run, built once for all of
+    its classes: the last (steps, bound) asked for is kept."""
+    return _monoid_layers(fixed, bound)
 
 
 def _subalgebra_matcher(polys: list[Polynomial]):
@@ -417,8 +429,18 @@ def hilbert_vector(
     check_generators(polys)
     _require_homogeneous(polys)
     _certified_order(polys, cls)
-    # the leads of constant generators are 0 and add only scalars
-    return _initial_algebra_counts([e for e in cls.leads if any(e)], bound)
+    # each lead x^e becomes one int with a bit field per variable, and its
+    # degree; a monomial of degree t <= bound has no exponent above bound,
+    # so fields of bound.bit_length() bits never carry into each other
+    width = bound.bit_length()
+    fixed, varying = set(), set()
+    for f, lead in zip(polys, cls.leads):
+        # the leads of constant generators are 0 and add only scalars
+        if any(lead):
+            group = fixed if len(f.terms) == 1 else varying
+            group.add((sum(e << (width * j) for j, e in enumerate(lead)), sum(lead)))
+    base = _shared_monoid(frozenset(fixed), bound)
+    return tuple(map(len, _layers(base, varying, bound)))
 
 
 # ---------------------------------------------------------------------------

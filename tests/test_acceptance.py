@@ -9,6 +9,7 @@ or with -s as plain output).  Long-running cases carry the 'slow' marker.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from basisdetect import TermOrder, leading_tuple
 from basisdetect.cli import main
 
 import systems
+
+SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "systems"
 
 
 def _run_json(capsys, *argv):
@@ -383,3 +386,31 @@ def test_criterion_18_truncation_subduction(tmp_path, capsys):
     elapsed = time.monotonic() - start
     ok = code == 0 and len(report["classes"]) == 102 and elapsed < 45
     _finish(18, ok, "102 of 210 SAGBI classes, %.1fs" % elapsed)
+
+
+@pytest.mark.slow
+def test_criterion_19_truncation_preferable_ranking(tmp_path, capsys):
+    """The first 16 truncation generators with t: the preferable ranking
+    of 36 classes by Hilbert vector up to the default degree 12.  Ten of
+    the leads are those of single-term generators, the same in every
+    class; the run takes about half a second on a 2-core machine."""
+    lines = (SYSTEMS_DIR / "truncation_variety.sys").read_text().splitlines()
+    start = lines.index("polys:") + 1
+    path = tmp_path / "truncation16.sys"
+    path.write_text("\n".join(lines[: start + 16]) + "\n")
+    begin = time.monotonic()
+    code, report = _run_json(
+        capsys, "rank", "--input", str(path), "--homogenize-t",
+        "--criterion", "preferable",
+    )
+    elapsed = time.monotonic() - begin
+    groups = report["groups"]
+    ok = (
+        code == 0
+        and [len(g["classes"]) for g in groups] == [6, 12, 6, 6, 6]
+        and groups[0]["hilbert_vector"]
+        == [1, 10, 16, 55, 104, 241, 439, 874, 1491, 2667, 4354, 7192]
+        and "truncated at degree 12" in report["bound_warning"]
+        and elapsed < 10
+    )
+    _finish(19, ok, "36 classes in 5 preferable groups, %.1fs" % elapsed)

@@ -502,6 +502,31 @@ def test_limit_failures_exit_2_with_one_line(
     assert err.count("\n") == 1 and err.startswith("limit error: ")
 
 
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (sagbi, "rank_orders", ("rank", "--criterion", "preferable")),
+        (sagbi, "rank_orders", ("rank", "--criterion", "nicer")),
+        (detect, "verdicts", ("detect-gb",)),
+        (detect, "verdicts", ("universal-sagbi",)),
+    ],
+    ids=["rank-preferable", "rank-nicer", "detect-gb", "universal-sagbi"],
+)
+def test_out_of_memory_exits_2_with_one_line(
+    tmp_path, capsys, monkeypatch, module, name, argv
+):
+    # exit code 1 would read as "no classes found" for a detect command
+    def failing(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, failing)
+    path = write_system(tmp_path, systems.twisted_cubic())
+    code, out, err = run_cli(capsys, *argv, "--input", path)
+    assert code == 2
+    assert out == ""
+    assert err == "limit error: out of memory\n"
+
+
 def test_subduction_cap_hit_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     # the lift of y3 - y1^2 is y + 1, which takes two subduction steps
     path = tmp_path / "system.txt"

@@ -11,6 +11,7 @@ verdict of the per-class comparison.
 import random
 import warnings
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -49,14 +50,20 @@ def assert_agrees(polys, bound, verdict=True):
     return found
 
 
+def random_exponent(rng, nvars, degree):
+    exp = [0] * nvars
+    for _ in range(degree):
+        exp[rng.randrange(nvars)] += 1
+    return tuple(exp)
+
+
 def random_homogeneous(rng, nvars, degree):
     R = RINGS[nvars]
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        exp = [0] * nvars
-        for _ in range(degree):
-            exp[rng.randrange(nvars)] += 1
-        terms[tuple(exp)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        terms[random_exponent(rng, nvars, degree)] = Fraction(
+            rng.choice([-3, -2, -1, 1, 2, 3])
+        )
     return Polynomial(R, terms)
 
 
@@ -76,6 +83,88 @@ def test_random_homogeneous_systems_match_oracle():
         assert_agrees(polys, rng.randint(6, 9), verdict=False)
     assert mixed >= 60 and constants >= 40
     assert found.count(True) >= 100 and found.count(False) >= 30
+
+
+def random_generator(rng, nvars, degree, single):
+    """A homogeneous generator with one term when ``single``, else with two
+    or three distinct terms, as many as there are monomials of the degree
+    (so ``nvars`` >= 2 and ``degree`` >= 1)."""
+    R = RINGS[nvars]
+    count = 1 if single else min(rng.randint(2, 3), comb(nvars + degree - 1, degree))
+    exponents = {random_exponent(rng, nvars, degree)}
+    while len(exponents) < count:
+        exponents.add(random_exponent(rng, nvars, degree))
+    return Polynomial(
+        R, {e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for e in exponents}
+    )
+
+
+def mixed_system(rng, split):
+    """Generators of degree 1..3 in 2..4 variables: none, some or all with a
+    single term (``split``), at times with a constant, a copy of a
+    single-term generator, or a single term of a multi-term generator, so
+    that a fixed lead may equal a lead some class chooses."""
+    nvars = rng.randint(2, 4)
+    count = rng.randint(2, 4)
+    singles = {
+        "none": [False] * count,
+        "all": [True] * count,
+        "some": [True, False] + [rng.random() < 0.5 for _ in range(count - 2)],
+    }[split]
+    polys = [
+        random_generator(rng, nvars, rng.randint(1, 3), single)
+        for single in singles
+    ]
+    extras = set()
+    if rng.random() < 0.3:
+        polys.append(RINGS[nvars].constant(rng.choice([-2, 1, 3])))
+        extras.add("constant")
+    monomials = [f for f in polys if len(f.terms) == 1 and f.total_degree()]
+    if monomials and rng.random() < 0.4:
+        f = rng.choice(monomials)
+        polys.append(f * RINGS[nvars].constant(rng.choice([-1, 2])))
+        extras.add("repeated")
+    multi = [f for f in polys if len(f.terms) > 1]
+    if multi and rng.random() < 0.4:
+        term = rng.choice(list(rng.choice(multi).terms))
+        polys.append(RINGS[nvars].monomial(term, 1))
+        extras.add("possible lead")
+    rng.shuffle(polys)
+    return polys, extras
+
+
+def test_fixed_and_varying_leads_match_oracle():
+    """Single-term generators span the monoid every class shares; the
+    other leads are added per class.  Every split of the leads must count
+    as the oracle counts."""
+    rng = random.Random(20261019)
+    seen = {"constant": 0, "repeated": 0, "possible lead": 0}
+    found = []
+    for split in ("none", "some", "all"):
+        for _ in range(60):
+            polys, extras = mixed_system(rng, split)
+            for extra in extras:
+                seen[extra] += 1
+            found += assert_agrees(polys, rng.randint(1, 5))
+            assert_agrees(polys, rng.randint(6, 8), verdict=False)
+    assert min(seen.values()) >= 30, seen
+    assert found.count(True) >= 200 and found.count(False) >= 150
+
+
+def test_shared_monoid_alternating_systems_and_bounds():
+    """The monoid of the fixed leads is kept from one call to the next;
+    calls that alternate two systems and two bounds must each count their
+    own."""
+    R = RINGS[3]
+    x, y, z = (R.variable(v) for v in R.variables)
+    first = [x * x, y * z, x * y - z * z, x + y]
+    second = [x * y, z, x * x + y * z, y * y - x * z]
+    runs = [(F, extract_weight_vectors(F)) for F in (first, second)]
+    for k, bound in [(0, 5), (1, 5), (0, 7), (0, 5), (1, 7), (1, 7), (0, 7), (1, 5)]:
+        polys, classes = runs[k]
+        for cls in classes:
+            expected = hilbert_oracle.hilbert_vector(polys, cls, bound)
+            assert hilbert_vector(polys, cls, bound) == expected
 
 
 def _monomials(nvars, *exponents):

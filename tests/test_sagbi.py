@@ -379,6 +379,31 @@ def test_rank_orders_preferable_puts_sagbi_class_first():
     assert groups[0].score > groups[1].score
 
 
+def test_preferable_ranking_builds_the_fixed_monoid_once(monkeypatch):
+    """The leads of the four single-term principal minors are the same in
+    every class; their monoid is built once per ranking, not per class."""
+    F = systems.principal_minors_homogenized()
+    builds, scored = [], []
+    build, score = sagbi._monoid_layers, sagbi.hilbert_vector
+
+    def counting_build(steps, bound):
+        builds.append(steps)
+        return build(steps, bound)
+
+    def counting_score(polys, cls, bound):
+        scored.append(cls)
+        return score(polys, cls, bound)
+
+    monkeypatch.setattr(sagbi, "_monoid_layers", counting_build)
+    monkeypatch.setattr(sagbi, "hilbert_vector", counting_score)
+    sagbi._shared_monoid.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HilbertBoundWarning)
+        groups = rank_orders(F, "preferable")
+    assert sum(map(len, groups)) == len(scored) == 14
+    assert len(builds) == 1 and len(builds[0]) == 4
+
+
 def test_rank_orders_single_class():
     R = ring("x", "y")
     F = [R.variable("x") * R.variable("y")]
