@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import heapq
 from math import gcd, lcm
-from operator import mul, sub
+from operator import mul
 
 from .polyring import Exponent, Polynomial, TermOrder, _Record, check_generators
-from .polyring import _add_multiple, _divides
+from .polyring import _add_multiple, _divides, _sub
 
 
 class DivisionResult(_Record):
@@ -26,11 +26,6 @@ class DivisionResult(_Record):
 
 def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
-
-
-def _cofactor(a: Exponent, b: Exponent) -> Exponent:
-    """The exponent of x^a / x^b (x^b must divide x^a)."""
-    return tuple(map(sub, a, b))
 
 
 def _coprime(a: Exponent, b: Exponent) -> bool:
@@ -75,7 +70,7 @@ def _remainder(f, divisors, order, quotients=None) -> Polynomial:
         coeff = work[lead]
         for i, (gexp, gcoeff, g) in enumerate(divisors):
             if _divides(gexp, lead):
-                shift = _cofactor(lead, gexp)
+                shift = _sub(lead, gexp)
                 factor = coeff / gcoeff
                 if quotients is not None:
                     quotients[i][shift] = factor
@@ -95,8 +90,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     gexp, gcoeff = order.leading_term(g)
     lcm_exp = _exp_lcm(fexp, gexp)
     terms: dict = {}
-    _add_multiple(terms, 1 / fcoeff, _cofactor(lcm_exp, fexp), f.terms)
-    _add_multiple(terms, -1 / gcoeff, _cofactor(lcm_exp, gexp), g.terms)
+    _add_multiple(terms, 1 / fcoeff, _sub(lcm_exp, fexp), f.terms)
+    _add_multiple(terms, -1 / gcoeff, _sub(lcm_exp, gexp), g.terms)
     return Polynomial(f.ring, terms)
 
 
@@ -132,7 +127,7 @@ def _reduces_to_zero(work: dict, divisors: list, key) -> bool:
         a, b = g[glead] // common, work[lead] // common
         for e in work:
             work[e] *= a
-        _add_multiple(work, -b, _cofactor(lead, glead), g)
+        _add_multiple(work, -b, _sub(lead, glead), g)
         content = gcd(*work.values())
         for e in work:
             work[e] //= content
@@ -159,8 +154,8 @@ def is_groebner_basis(polys: list[Polynomial], order: TermOrder) -> bool:
             m = _exp_lcm(ilead, jlead)
             common = gcd(f[ilead], g[jlead])
             spair: dict = {}
-            _add_multiple(spair, g[jlead] // common, _cofactor(m, ilead), f)
-            _add_multiple(spair, -(f[ilead] // common), _cofactor(m, jlead), g)
+            _add_multiple(spair, g[jlead] // common, _sub(m, ilead), f)
+            _add_multiple(spair, -(f[ilead] // common), _sub(m, jlead), g)
             if not _reduces_to_zero(spair, divisors, order.key):
                 return False
     return True

@@ -9,13 +9,15 @@ integer weight or proves the cone empty.
 
 Also provides lattice-polytope dimension and normalized volume, used for
 ranking term orders by the geometry of their leading exponents.  The volume
-is measured in the lattice the points span, as the sum of |det| over a
-placing (beneath-beyond) triangulation, in exact integer arithmetic.
+is measured in the lattice the points span: the points are projected onto
+the pivot columns of an echelon basis of that lattice, and the sum of |det|
+over a placing (beneath-beyond) triangulation of the projection is divided
+by the lattice index, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from operator import sub
+from math import prod
 
 from . import lp
 from .polyring import (
@@ -23,6 +25,7 @@ from .polyring import (
     Polynomial,
     TermOrder,
     _FrozenRecord,
+    _sub,
     check_generators,
 )
 
@@ -154,10 +157,6 @@ class LatticePolytope(_FrozenRecord):
         self._set(pts)
 
 
-def _sub(p: Exponent, q: Exponent) -> tuple[int, ...]:
-    return tuple(map(sub, p, q))
-
-
 def _hermite_basis(rows: list) -> list[list[int]]:
     """Echelon basis (positive pivots) of the lattice generated by the rows."""
     mat = [list(r) for r in rows]
@@ -187,25 +186,6 @@ def _hermite_basis(rows: list) -> list[list[int]]:
             mat[r] = [-a for a in mat[r]]
         r += 1
     return mat[:r]
-
-
-def _pivot_columns(basis: list[list[int]]) -> list[int]:
-    return [next(j for j, a in enumerate(row) if a != 0) for row in basis]
-
-
-def _lattice_coordinates(basis, pivots, vector) -> tuple[int, ...]:
-    """Express a lattice member in the echelon basis (exact integer coords)."""
-    v = list(vector)
-    coords = []
-    for row, p in zip(basis, pivots):
-        q, rem = divmod(v[p], row[p])
-        if rem:
-            raise ValueError("vector outside the lattice")
-        v = [a - q * b for a, b in zip(v, row)]
-        coords.append(q)
-    if any(v):
-        raise ValueError("vector outside the lattice")
-    return tuple(coords)
 
 
 def _det(rows: list) -> int:
@@ -304,18 +284,22 @@ def polytope_dim(polytope: LatticePolytope) -> int:
 def normalized_volume(polytope: LatticePolytope) -> int:
     """d! times the Euclidean volume, measured in the spanned lattice.
 
-    The points are translated so one of them is the origin and rewritten
-    in a basis of the lattice they generate; the volume of the resulting
-    full-dimensional hull is the sum of |det| over a placing triangulation.
-    A single point yields 1 by the empty-product convention.
+    The points are projected onto the pivot columns of an echelon basis of
+    the lattice their edges generate.  On those columns the basis is an
+    upper-triangular matrix with a positive diagonal, so the projection is
+    injective on the affine hull, keeps every orientation and multiplies
+    every determinant by the lattice index, the product of the pivots.  The
+    sum of |det| over a placing triangulation of the projected points,
+    divided by that index, is the volume.  A single point yields 1 by the
+    empty-product convention.
     """
     pts = polytope.points
-    origin = pts[0]
-    edges = [_sub(p, origin) for p in pts[1:]]
-    basis = _hermite_basis(edges)
+    basis = _hermite_basis([_sub(p, pts[0]) for p in pts[1:]])
     if not basis:
         return 1
-    pivots = _pivot_columns(basis)
-    return _placing_volume(
-        [_lattice_coordinates(basis, pivots, _sub(p, origin)) for p in pts]
-    )
+    pivots = [next(j for j, a in enumerate(row) if a) for row in basis]
+    total = _placing_volume([tuple(p[c] for c in pivots) for p in pts])
+    volume, rest = divmod(total, prod(row[c] for row, c in zip(basis, pivots)))
+    if rest:
+        raise AssertionError("placing sum not divisible by the lattice index")
+    return volume

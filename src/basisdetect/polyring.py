@@ -8,7 +8,7 @@ All values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, le
+from operator import add, le, sub
 
 Exponent = tuple[int, ...]
 
@@ -113,8 +113,13 @@ def ring(*names: str) -> PolynomialRing:
     return PolynomialRing(tuple(names))
 
 
-class Polynomial:
-    """Sparse polynomial: exponent tuple -> nonzero rational coefficient."""
+class Polynomial(_FrozenRecord):
+    """Sparse polynomial: exponent tuple -> nonzero rational coefficient.
+
+    A frozen record hashed by its ring and term set, since the ``terms``
+    dict cannot be hashed; ``__init__`` stores the fields directly, as
+    every sum and product passes through it.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -132,17 +137,8 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", cleaned)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        return (Polynomial, (self.ring, self.terms))
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self) -> frozenset:
-        return frozenset(self.terms)
 
     def total_degree(self) -> int:
         """Max total degree over terms; -1 for the zero polynomial."""
@@ -198,13 +194,6 @@ class Polynomial:
             result = result * self
         return result
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
     def __hash__(self) -> int:
         return hash((self.ring, frozenset(self.terms.items())))
 
@@ -257,7 +246,12 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return all(map(le, a, b))
 
 
-class TermOrder:
+def _sub(a: Exponent, b: Exponent) -> Exponent:
+    """a - b componentwise: the exponent of x^a / x^b when x^b divides x^a."""
+    return tuple(map(sub, a, b))
+
+
+class TermOrder(_FrozenRecord):
     """Total order on monomials: weight comparison refined by lex.
 
     Compares x^a against x^b by <weight, a> vs <weight, b>, breaking ties
@@ -276,13 +270,7 @@ class TermOrder:
             raise ValueError("weight must be a nonempty nonnegative vector")
         if all(e == 0 for e in w):
             raise ValueError("the all-zero weight vector is not allowed")
-        object.__setattr__(self, "weight", w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TermOrder is immutable")
-
-    def __reduce__(self):
-        return (TermOrder, (self.weight,))
+        self._set(w)
 
     def key(self, exponent: Exponent):
         return (dot(self.weight, exponent), exponent)
@@ -297,15 +285,6 @@ class TermOrder:
     def leading_term(self, f: Polynomial) -> tuple[Exponent, Fraction]:
         exp = self.leading_exponent(f)
         return exp, f.terms[exp]
-
-    def __repr__(self) -> str:
-        return "TermOrder(%r)" % (self.weight,)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TermOrder) and self.weight == other.weight
-
-    def __hash__(self) -> int:
-        return hash(("TermOrder", self.weight))
 
 
 def dot(w, e) -> int:

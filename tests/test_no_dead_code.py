@@ -78,3 +78,41 @@ def test_every_import_is_read():
             if name not in read
         ]
     assert not unread, unread
+
+
+def _normalized_body(function) -> str:
+    """The function's body without its docstring, its parameters renamed
+    to their positions, as an ``ast`` dump."""
+    args = function.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    params += [a for a in (args.vararg, args.kwarg) if a is not None]
+    names = {a.arg: "_%d" % i for i, a in enumerate(params)}
+    body = function.body
+    if (
+        isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant)
+        and isinstance(body[0].value.value, str)
+    ):
+        body = body[1:]
+    module = ast.Module(body=body, type_ignores=[])
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and node.id in names:
+            node.id = names[node.id]
+    return ast.dump(module)
+
+
+def test_no_two_module_functions_share_a_body():
+    # a helper written twice should live once, where both callers import it
+    seen = {}
+    duplicates = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                key = _normalized_body(node)
+                where = "%s: %s" % (path.name, node.name)
+                if key in seen:
+                    duplicates.append((seen[key], where))
+                else:
+                    seen[key] = where
+    assert not duplicates, duplicates

@@ -21,8 +21,10 @@ from basisdetect import (
     ExponentMatrix,
     LatticePolytope,
     OrderClass,
+    Polynomial,
     PolynomialRing,
     SubductionResult,
+    TermOrder,
     ToricBinomial,
 )
 
@@ -36,6 +38,12 @@ FROZEN = [
         PolynomialRing(variables=("x", "y")),
         PolynomialRing(("y", "x")),
         "PolynomialRing(variables=('x', 'y'))",
+    ),
+    (
+        TermOrder((1, 0)),
+        TermOrder(weight=(1, 0)),
+        TermOrder((0, 1)),
+        "TermOrder(weight=(1, 0))",
     ),
     (
         OrderClass(((1, 0),), (1, 0)),
@@ -129,6 +137,26 @@ def test_mutable_records_are_unhashable_and_assignable(record, same, other, text
     copy = pickle.loads(pickle.dumps(record))
     setattr(copy, fields[-1], getattr(other, fields[-1]))
     assert copy != record
+
+
+def test_polynomial_is_a_frozen_record_with_its_own_hash_and_repr():
+    # the terms dict is unhashable, so a polynomial hashes its term set
+    f = X + R.variable("y")
+    same = Polynomial(ring=R, terms={(0, 1): 1, (1, 0): 1})
+    assert f == same
+    assert f != X
+    assert f != "x + y"
+    assert hash(f) == hash(same)
+    copy = pickle.loads(pickle.dumps(f))
+    assert type(copy) is Polynomial
+    assert copy == f
+    assert repr(copy) == "x + y"
+    for field in Polynomial.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(f, field, getattr(X, field))
+        with pytest.raises(AttributeError):
+            delattr(f, field)
+    assert f == same
 
 
 def test_constructor_arity_errors():

@@ -1,8 +1,10 @@
 """Reference volume, kept as a test oracle for ``normalized_volume``.
 
-``normalized_volume`` in ``basisdetect.orders`` rewrites the points in an
-echelon basis of the lattice their differences span and sums |det| over a
-placing triangulation.  This oracle shares no code with it:
+``normalized_volume`` in ``basisdetect.orders`` projects the points onto
+the pivot columns of an echelon basis of the lattice their differences
+span, sums |det| over a placing triangulation and divides by the product
+of the pivots.  This oracle shares no code with it; it finds the index as
+a gcd of minors and triangulates by a recursive fan:
 
 - the points are projected onto d coordinates on which their edges have a
   nonzero d x d minor, d the dimension of their hull.  That projection is
