@@ -45,8 +45,7 @@ def _check_sagbi_subduction(polys: list[Polynomial], shared, cls: OrderClass) ->
     return is_sagbi_subduction(polys, cls, shared=shared)
 
 
-def _checked(check, classes: list[OrderClass], jobs: int):
-    workers = _pool_size(jobs, len(classes), os.cpu_count())
+def _checked(check, classes: list[OrderClass], workers: int):
     if workers == 1:
         for cls in classes:
             yield cls, check(cls)
@@ -90,20 +89,7 @@ def verdicts(
     ker A of lead matrices once for all classes that share it (the
     ``shared`` keyword of ``is_sagbi_subduction``).
     """
-    if criterion == "buchberger":
-        check = partial(_check_gb, polys)
-    elif criterion == "subduction":
-        from .sagbi import _SharedRelations
-
-        classes = extract_weight_vectors(polys)
-        # a serial run shares the relations of each lattice between its
-        # classes; worker processes compute their own
-        shared = None
-        if _pool_size(jobs, len(classes), os.cpu_count()) == 1:
-            shared = _SharedRelations(classes)
-        check = partial(_check_sagbi_subduction, polys, shared)
-        return _checked(check, classes, jobs)
-    elif criterion == "hilbert":
+    if criterion == "hilbert":
         from .sagbi import _resolve_hilbert_bound, _subalgebra_matcher, hilbert_vector
 
         limit = _resolve_hilbert_bound(polys, bound)
@@ -115,9 +101,20 @@ def verdicts(
         # the shared subalgebra ranks are nearly all of the cost; workers
         # could take only the cheap class vectors
         jobs = 1
-    else:
+    elif criterion not in ("buchberger", "subduction"):
         raise ValueError("criterion must be 'buchberger', 'subduction' or 'hilbert'")
-    return _checked(check, extract_weight_vectors(polys), jobs)
+    classes = extract_weight_vectors(polys)
+    workers = _pool_size(jobs, len(classes), os.cpu_count())
+    if criterion == "buchberger":
+        check = partial(_check_gb, polys)
+    elif criterion == "subduction":
+        from .sagbi import _RelationSource
+
+        # a serial run shares the relations of each lattice between its
+        # classes; each worker process gets an empty source
+        shared = _RelationSource(classes if workers == 1 else ())
+        check = partial(_check_sagbi_subduction, polys, shared)
+    return _checked(check, classes, workers)
 
 
 def weight_vectors_realizing_gb(polys: list[Polynomial]) -> list[OrderClass]:

@@ -25,6 +25,7 @@ from .polyring import (
     Polynomial,
     TermOrder,
     _FrozenRecord,
+    _integers,
     _sub,
     check_generators,
 )
@@ -149,7 +150,7 @@ class LatticePolytope(_FrozenRecord):
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = tuple(sorted({tuple(int(x) for x in p) for p in points}))
+        pts = tuple(sorted(set(map(_integers, points))))
         if not pts:
             raise ValueError("empty point set")
         if len({len(p) for p in pts}) != 1:

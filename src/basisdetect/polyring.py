@@ -8,7 +8,7 @@ All values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, index, le, sub
 
 Exponent = tuple[int, ...]
 
@@ -19,6 +19,17 @@ class SubductionLimitError(RuntimeError):
 
 class HilbertBoundWarning(UserWarning):
     """The degree cap truncated the exact Hilbert comparison bound."""
+
+
+def _integers(entries) -> tuple[int, ...]:
+    """``entries`` as a tuple of ints, each through ``operator.index``: an
+    int, a bool or any other integer type (one that defines ``__index__``,
+    as NumPy's do) passes, and a float, a ``Fraction`` or a string is a
+    ValueError, never truncated or parsed."""
+    try:
+        return tuple(map(index, entries))
+    except TypeError:
+        raise ValueError("not a vector of integers: %r" % (entries,)) from None
 
 
 class _Record:
@@ -130,8 +141,8 @@ class Polynomial(_FrozenRecord):
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            exp = tuple(exp)
-            if len(exp) != n or any(e < 0 for e in exp):
+            exp = _integers(exp)
+            if len(exp) != n or min(exp) < 0:
                 raise ValueError("bad exponent %r for ring %r" % (exp, ring.variables))
             cleaned[exp] = coeff
         object.__setattr__(self, "ring", ring)
@@ -265,7 +276,7 @@ class TermOrder(_FrozenRecord):
     __slots__ = ("weight",)
 
     def __init__(self, weight):
-        w = tuple(int(e) for e in weight)
+        w = _integers(weight)
         if not w or any(e < 0 for e in w):
             raise ValueError("weight must be a nonempty nonnegative vector")
         if all(e == 0 for e in w):
@@ -300,7 +311,7 @@ def initial_form(f: Polynomial, weight) -> Polynomial:
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no initial form")
-    w = tuple(int(e) for e in weight)
+    w = _integers(weight)
     if len(w) != f.ring.nvars:
         raise ValueError("weight length differs from the number of variables")
     best = max(dot(w, e) for e in f.terms)

@@ -16,11 +16,12 @@ off the products themselves.
 
 The subduction criterion makes one pass per class: one matrix of leading
 exponents and one product table serve every lift and every subduction
-of the class.  Its relations come from one stream, those of degree <= 3
-first and then the generating set of the relation ideal, which is
-computed only once every low relation has subduced to zero.  The
-relations depend only on the lattice ker A of the lead matrix A, so in
-one run of ``detect.verdicts`` the classes of one lattice share a stream.
+of the class.  Its relations come from one source, ``_RelationSource``,
+which hands each class those of degree <= 3 first and then the
+generating set of the relation ideal, computed only once every low
+relation has subduced to zero.  The relations depend only on the
+lattice ker A of the lead matrix A, so in one serial run of
+``detect.verdicts`` the classes of one lattice share their lists.
 
 The Hilbert criterion compares two functions of the degree.  The Hilbert
 function of the algebra of leading monomials depends on the class:
@@ -39,7 +40,7 @@ computed once and shared by every class it is compared with.
 from __future__ import annotations
 
 import warnings
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from fractions import Fraction
 
@@ -170,64 +171,51 @@ def _relation_spoly(
     return left._plus(-left.terms[lead] / right.terms[lead], right)
 
 
-class _SharedRelations:
-    """The relation streams of one run, shared by the classes whose lead
-    matrices have the same lattice ker A.
+class _RelationSource:
+    """The relations whose lifts the subduction criterion subduces, for the
+    classes of one run.
 
-    The relations of a matrix depend only on ker A (see
-    ``toric._lattice_key``), so a stream is stored only for a lattice that
-    two or more of the run's classes share, and dropped when the last of
-    them takes it.  A stream is ``[low, rest]``: the relations of degree
-    <= 3 and the generating-set binomials not among them, each list
-    computed by the first class that reaches it.  Each class's key is
-    computed once, here, and kept only for the shared lattices.
+    The relations of a lead matrix depend only on its lattice ker A (see
+    ``toric._lattice_key``), so the lists of a lattice that two or more of
+    the classes share are stored for the others, and dropped when the last
+    of them takes them.  Each class's key is computed once, here, and kept
+    only for the shared lattices; a source built over no classes shares
+    nothing.
     """
 
-    def __init__(self, classes: list[OrderClass]):
+    def __init__(self, classes=()):
         keys = {
             cls.leads: toric._lattice_key(toric.ExponentMatrix(cls.leads))
             for cls in classes
         }
-        counts: dict = {}
-        for key in keys.values():
-            counts[key] = counts.get(key, 0) + 1
-        self._waiting = {key: n for key, n in counts.items() if n > 1}
-        self._keys = {leads: k for leads, k in keys.items() if k in self._waiting}
-        self._streams: dict = {}
+        counts = Counter(keys.values())
+        self._keys = {leads: k for leads, k in keys.items() if counts[k] > 1}
+        # lattice -> (its classes still to come, low, rest), the two lists
+        # None until computed
+        self._lists = {k: (n, None, None) for k, n in counts.items() if n > 1}
 
-    def take(self, matrix: toric.ExponentMatrix) -> list:
-        """The stream of the lattice of ``matrix``, for the one class whose
-        lead matrix it is."""
+    def of(self, matrix: toric.ExponentMatrix):
+        """The relations of the one class whose lead matrix is ``matrix``:
+        those of degree <= 3 first, then the generating-set binomials not
+        among them, computed only once every low relation was taken."""
         key = self._keys.pop(matrix.columns, None)
-        if key is None:
-            return [None, None]
-        if self._waiting[key] == 1:
-            del self._waiting[key]
-            return self._streams.pop(key, [None, None])
-        self._waiting[key] -= 1
-        return self._streams.setdefault(key, [None, None])
-
-
-def _relations(matrix: toric.ExponentMatrix, stream: list):
-    """The relations whose lifts the criterion subduces: those of degree
-    <= 3 first, then the generating-set binomials not among them.  The
-    generating set is computed only when every low relation was taken.
-    ``stream`` holds the two lists once computed, for other classes of
-    the same lattice."""
-    if stream[0] is None:
-        stream[0] = toric.relations_up_to_degree(matrix, 3)
-    yield from stream[0]
-    if stream[1] is None:
-        seen = set(stream[0])
-        generators = toric.toric_ideal_generators(matrix)
-        stream[1] = [b for b in generators if b not in seen]
-    yield from stream[1]
+        waiting, low, rest = self._lists.pop(key, (1, None, None))
+        waiting -= 1  # the lists are kept only for a class still to come
+        if low is None:
+            low = toric.relations_up_to_degree(matrix, 3)
+        if waiting:
+            self._lists[key] = (waiting, low, rest)
+        yield from low
+        if rest is None:
+            seen = set(low)
+            rest = [b for b in toric.toric_ideal_generators(matrix) if b not in seen]
+            if waiting:
+                self._lists[key] = (waiting, low, rest)
+        yield from rest
 
 
 def _sagbi_failure_witness(
-    polys: list[Polynomial],
-    cls: OrderClass,
-    shared: _SharedRelations | None = None,
+    polys: list[Polynomial], cls: OrderClass, relations: _RelationSource
 ) -> Polynomial | None:
     """First lifted relation whose subduction remainder is nonzero, if any.
 
@@ -235,16 +223,15 @@ def _sagbi_failure_witness(
     basis property, so cheap low-degree relations are tried before the
     full elimination-based generating set is computed.  The class's
     leading exponents and one product table serve every lift and every
-    subduction; the relations come from ``shared`` when other classes of
-    the run have the same lattice, and each is checked against this
-    class's matrix.
+    subduction; the relations come from ``relations``, which may have
+    them from another class of the same lattice, so each is checked
+    against this class's matrix.
     """
     check_generators(polys)
     order = _certified_order(polys, cls)
     matrix = toric.ExponentMatrix(cls.leads)
-    stream = [None, None] if shared is None else shared.take(matrix)
     cache: dict = {}
-    for binomial in _relations(matrix, stream):
+    for binomial in relations.of(matrix):
         lead = matrix.apply(binomial.u)
         if matrix.apply(binomial.v) != lead:
             raise AssertionError("relation of another lattice")
@@ -259,13 +246,14 @@ def is_sagbi_subduction(
     polys: list[Polynomial],
     cls: OrderClass,
     *,
-    shared: _SharedRelations | None = None,
+    shared: _RelationSource | None = None,
 ) -> bool:
     """Subduction criterion: every lifted generating relation of the
     leading monomials must subduce to zero.  ``shared`` is the run's
-    ``_SharedRelations``, which ``detect.verdicts`` builds; without it the
-    class computes its own relations."""
-    return _sagbi_failure_witness(polys, cls, shared) is None
+    ``_RelationSource``, which ``detect.verdicts`` builds; without it the
+    class takes an empty source, which shares nothing."""
+    relations = _RelationSource() if shared is None else shared
+    return _sagbi_failure_witness(polys, cls, relations) is None
 
 
 # ---------------------------------------------------------------------------

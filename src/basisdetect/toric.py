@@ -13,8 +13,8 @@ with the product and chain criteria to skip pairs.
 ``relations_up_to_degree`` lists the relations of low degree directly: the
 column multisets up to that size, grouped by the sum of their columns,
 each paired with the earlier ones it shares no column with.  Both lists
-depend only on the lattice ker A, which ``_lattice_key`` names by a
-canonical basis of A's row space.
+depend only on the lattice ker A, which ``_lattice_key`` names by the
+reduced row echelon form of A.
 
 ``solve_monomial_membership`` decides whether a monomial x^b lies in the
 multiplicative monoid generated by the x^alpha_i, i.e. solves A v = b over
@@ -24,10 +24,10 @@ nonnegative integers by bounded depth-first search.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations_with_replacement
-from math import gcd
+from fractions import Fraction
+from operator import add
 
-from .polyring import Exponent, _divides, _FrozenRecord
+from .polyring import Exponent, _divides, _FrozenRecord, _integers
 
 
 class ExponentMatrix(_FrozenRecord):
@@ -36,7 +36,7 @@ class ExponentMatrix(_FrozenRecord):
     __slots__ = ("columns",)
 
     def __init__(self, columns):
-        cols = tuple(tuple(int(x) for x in c) for c in columns)
+        cols = tuple(map(_integers, columns))
         if not cols:
             raise ValueError("matrix needs at least one column")
         if len({len(c) for c in cols}) != 1:
@@ -252,39 +252,32 @@ def toric_ideal_generators(matrix: ExponentMatrix) -> list[ToricBinomial]:
     return out
 
 
-def _primitive_row(row, pivot: int) -> list[int]:
-    content = gcd(*row)
-    if row[pivot] < 0:
-        content = -content
-    return [x // content for x in row]
-
-
 def _lattice_key(matrix: ExponentMatrix) -> tuple:
-    """The row space of A as a canonical integer basis, with A's column
-    count: fraction-free Gauss-Jordan elimination, each row primitive with
-    a positive pivot, rows sorted by pivot column.
+    """The row space of A as its reduced row echelon form over the
+    rationals, with A's column count: Gauss-Jordan elimination, each pivot
+    1, rows sorted by pivot column.  An entry is an int or a ``Fraction``
+    (a division that is exact gives an int); both compare and hash by
+    value, so the type of an entry never changes the key.
 
-    Every row is a positive multiple of a row of the rational reduced row
-    echelon form, so two keys are equal exactly when the row spaces are,
-    that is when ker A is.  The relations of A depend only on ker A, so
-    ``relations_up_to_degree`` and ``toric_ideal_generators`` (a reduced
-    Groebner basis, which is unique) return the same lists for equal keys.
+    The reduced row echelon form is unique, so two keys are equal exactly
+    when the row spaces are, that is when ker A is.  The relations of A
+    depend only on ker A, so ``relations_up_to_degree`` and
+    ``toric_ideal_generators`` (a reduced Groebner basis, which is unique)
+    return the same lists for equal keys.
     """
-    basis: dict[int, list[int]] = {}  # pivot column -> row
+    basis: dict[int, list] = {}  # pivot column -> row
     for row in zip(*matrix.columns):
         for k, other in basis.items():
-            if row[k]:
-                a, b = other[k], row[k]
-                row = [a * x - b * y for x, y in zip(row, other)]
+            if c := row[k]:
+                row = [x - c * y for x, y in zip(row, other)]
         pivot = next((k for k, x in enumerate(row) if x), None)
         if pivot is None:
             continue
-        row = _primitive_row(row, pivot)
+        p = row[pivot]
+        row = [x // p if not x % p else Fraction(x, p) for x in row]
         for k, other in basis.items():
-            if other[pivot]:
-                a, b = row[pivot], other[pivot]
-                reduced = [a * x - b * y for x, y in zip(other, row)]
-                basis[k] = _primitive_row(reduced, k)
+            if c := other[pivot]:
+                basis[k] = [x - c * y for x, y in zip(other, row)]
         basis[pivot] = row
     return matrix.ncols, tuple(tuple(basis[k]) for k in sorted(basis))
 
@@ -296,23 +289,36 @@ def relations_up_to_degree(matrix: ExponentMatrix, max_degree: int) -> list[Tori
     columns only) appears only when u has degree below max_degree.
 
     Generally NOT a generating set of the relation ideal, but a cheap
-    failure-witness scan before the full elimination.  Each new column
-    multiset is paired only with the earlier ones of its fiber (equal
-    column sums) that share no column with it: a pair with a common part
-    is that part times a pair of lower degree.  The empty multiset seeds
-    the zero fiber, for the relations to 1.
+    failure-witness scan before the full elimination.  The column
+    multisets are built size by size, each from one of size one less by
+    adding a column at or after its last one, which updates its count
+    vector, support mask and column sum.  Each new multiset is paired only
+    with the earlier ones of its fiber (equal column sums) that share no
+    column with it: a pair with a common part is that part times a pair of
+    lower degree.  The empty multiset seeds the zero fiber, for the
+    relations to 1.
     """
     s, columns = matrix.ncols, matrix.columns
-    zero_fiber = [(0, (0,) * s)]  # (support mask, multiset) of the empty one
-    fibers: dict = {(0,) * matrix.nrows: zero_fiber}
+    no_column, zero = (0,) * s, (0,) * matrix.nrows
+    zero_fiber = [(0, no_column)]  # (support mask, multiset) of the empty one
+    fibers: dict = {zero: zero_fiber}
+    # the multisets of one size: (last column, count vector, mask, column sum)
+    layer = [(0, no_column, 0, zero)]
     out = []
     for size in range(1, max_degree + 1):
         if size == max_degree:
             del zero_fiber[0]  # relations to 1 have degree below max_degree
-        for combo in combinations_with_replacement(range(s), size):
-            u = tuple(map(combo.count, range(s)))
-            mask = sum(1 << i for i in set(combo))
-            key = tuple(map(sum, zip(*map(columns.__getitem__, combo))))
+        layer = [
+            (
+                i,
+                u[:i] + (u[i] + 1,) + u[i + 1 :],
+                mask | 1 << i,
+                tuple(map(add, key, columns[i])),
+            )
+            for last, u, mask, key in layer
+            for i in range(last, s)
+        ]
+        for _, u, mask, key in layer:
             fiber = fibers.setdefault(key, [])
             for other, v in fiber:
                 if not mask & other:
@@ -329,7 +335,7 @@ def solve_monomial_membership(matrix: ExponentMatrix, target) -> tuple[int, ...]
     negative, or whose positive residual rows cannot be covered by the
     remaining columns, are pruned.
     """
-    b = tuple(int(x) for x in target)
+    b = _integers(target)
     if len(b) != matrix.nrows:
         raise ValueError("target length differs from row count")
     if any(x < 0 for x in b):

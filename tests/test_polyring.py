@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from basisdetect import (
+    ExponentMatrix,
+    LatticePolytope,
     Polynomial,
     PolynomialRing,
     TermOrder,
@@ -12,6 +14,7 @@ from basisdetect import (
     initial_form,
     ring,
     s_polynomial,
+    solve_monomial_membership,
 )
 
 from lp_oracle import normalize_weight
@@ -181,6 +184,51 @@ def test_initial_form_weight_must_fit_the_ring(xy):
     with pytest.raises(ValueError, match="weight length"):
         initial_form(f, (0, 1, 5))
     assert initial_form(f, (5, 1)) == x + y**5
+
+
+class _Two:
+    """An integer type other than int, as NumPy's are: it defines only
+    ``__index__``."""
+
+    def __index__(self):
+        return 2
+
+
+def _x_squared_plus_y_cubed(weight):
+    R = ring("x", "y")
+    return initial_form(R.variable("x") ** 2 + R.variable("y") ** 3, weight)
+
+
+# every input that takes a vector of integers, with one entry given
+_INTEGER_VECTORS = {
+    "TermOrder": lambda e: TermOrder((e, 1)),
+    "initial_form": lambda e: _x_squared_plus_y_cubed((e, 0)),
+    "Polynomial": lambda e: Polynomial(ring("x", "y"), {(e, 0): 1}),
+    "ExponentMatrix": lambda e: ExponentMatrix([(e, 2)]),
+    "LatticePolytope": lambda e: LatticePolytope([(0, 0), (e, 0), (0, e)]),
+    "solve_monomial_membership": lambda e: solve_monomial_membership(
+        ExponentMatrix([(1, 0), (0, 1)]), (e, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry", [1.5, Fraction(3, 2), "2"], ids=["float", "Fraction", "str"]
+)
+@pytest.mark.parametrize(
+    "build", _INTEGER_VECTORS.values(), ids=_INTEGER_VECTORS.keys()
+)
+def test_integer_vectors_refuse_other_entries(build, entry):
+    # a float or Fraction entry was truncated, and a string parsed
+    with pytest.raises(ValueError):
+        build(entry)
+
+
+@pytest.mark.parametrize(
+    "build", _INTEGER_VECTORS.values(), ids=_INTEGER_VECTORS.keys()
+)
+def test_integer_vectors_take_any_index_type(build):
+    assert build(_Two()) == build(2)
 
 
 def test_duplicate_variables_rejected():

@@ -25,7 +25,7 @@ from basisdetect import (
 from basisdetect import sagbi
 from basisdetect.orders import LatticePolytope, OrderClass
 from basisdetect.polyring import dot
-from basisdetect.sagbi import _power_product, _sagbi_failure_witness, _SharedRelations
+from basisdetect.sagbi import _power_product, _RelationSource, _sagbi_failure_witness
 from basisdetect.toric import ToricBinomial, _lattice_key
 from basisdetect.orders import normalized_volume, polytope_dim
 
@@ -162,7 +162,7 @@ def test_generating_set_only_after_low_relations(monkeypatch):
 
 def test_classes_of_one_lattice_share_their_relations(monkeypatch):
     # Gr(2,4) has 24 classes but 3 lattices ker A: the generating set is
-    # computed once per lattice, and the run keeps no stream at its end
+    # computed once per lattice, and the run holds no list at its end
     F = systems.grassmannian_2_4()
     classes = extract_weight_vectors(F)
     keys = {_lattice_key(ExponentMatrix(cls.leads)) for cls in classes}
@@ -175,28 +175,30 @@ def test_classes_of_one_lattice_share_their_relations(monkeypatch):
         calls.append(_lattice_key(matrix))
         return toric_ideal_generators(matrix)
 
-    runs = []
+    sources = []
 
     def recording(classes):
-        runs.append(_SharedRelations(classes))
-        return runs[-1]
+        sources.append(_RelationSource(classes))
+        return sources[-1]
 
     monkeypatch.setattr("basisdetect.toric.toric_ideal_generators", counting)
-    monkeypatch.setattr("basisdetect.sagbi._SharedRelations", recording)
+    monkeypatch.setattr("basisdetect.sagbi._RelationSource", recording)
     assert list(verdicts(F, "subduction")) == expected
     assert len(calls) == len(set(calls)) == 3
-    assert len(runs) == 1
-    assert runs[0]._streams == runs[0]._waiting == runs[0]._keys == {}
+    assert len(sources) == 1
+    assert sources[0]._lists == sources[0]._keys == {}
+    # the source is pickled for the worker processes, which finds its class
+    # by name, so the real class must be back in place
+    monkeypatch.undo()
     assert list(verdicts(F, "subduction", jobs=2)) == expected
 
 
 def test_shared_stream_is_checked_against_each_class():
-    # a stream handed to a class of another lattice is refused
+    # relations stored for another lattice are refused
     F, green, _ = _green_red()
-    shared = _SharedRelations([])
+    shared = _RelationSource()
     shared._keys[green.leads] = "lattice"
-    shared._waiting["lattice"] = 2
-    shared._streams["lattice"] = [[ToricBinomial((0, 1, 0), (0, 0, 1))], None]
+    shared._lists["lattice"] = (2, [ToricBinomial((0, 1, 0), (0, 0, 1))], None)
     with pytest.raises(AssertionError, match="another lattice"):
         is_sagbi_subduction(F, green, shared=shared)
 
@@ -275,7 +277,7 @@ def test_hilbert_criterion_two_cones():
 
 def test_hilbert_failure_degree_matches_vector_difference():
     F, green, red = _green_red()
-    witness = _sagbi_failure_witness(F, red)
+    witness = _sagbi_failure_witness(F, red, _RelationSource())
     assert witness is not None
     degree = witness.total_degree()
     with warnings.catch_warnings():
