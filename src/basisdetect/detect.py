@@ -30,19 +30,14 @@ def _pool_size(jobs: int, nclasses: int, cpus: int | None) -> int:
     return max(1, min(jobs, cpus or 1, nclasses))
 
 
-# per-class checks (module level so worker processes can import them)
+# the Groebner check turns a class into its order (module level so worker
+# processes can import it)
 
 
 def _check_gb(polys: list[Polynomial], cls: OrderClass) -> bool:
     from .groebner import is_groebner_basis
 
     return is_groebner_basis(polys, cls.order())
-
-
-def _check_sagbi_subduction(polys: list[Polynomial], shared, cls: OrderClass) -> bool:
-    from .sagbi import is_sagbi_subduction
-
-    return is_sagbi_subduction(polys, cls, shared=shared)
 
 
 def _checked(check, classes: list[OrderClass], workers: int):
@@ -108,12 +103,12 @@ def verdicts(
     if criterion == "buchberger":
         check = partial(_check_gb, polys)
     elif criterion == "subduction":
-        from .sagbi import _RelationSource
+        from .sagbi import _RelationSource, is_sagbi_subduction
 
         # a serial run shares the relations of each lattice between its
         # classes; each worker process gets an empty source
         shared = _RelationSource(classes if workers == 1 else ())
-        check = partial(_check_sagbi_subduction, polys, shared)
+        check = partial(is_sagbi_subduction, polys, shared=shared)
     return _checked(check, classes, workers)
 
 

@@ -18,7 +18,9 @@ reduced row echelon form of A.
 
 ``solve_monomial_membership`` decides whether a monomial x^b lies in the
 multiplicative monoid generated by the x^alpha_i, i.e. solves A v = b over
-nonnegative integers by bounded depth-first search.
+nonnegative integers by bounded depth-first search over the nonzero
+columns.  A branch is pruned when the support mask (``_support``) of its
+residual has a row that no remaining column covers.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ def _flat(x, y) -> tuple:
 
 def _support(e) -> int:
     """Bit k set when entry k is nonzero: a monomial can divide another only
-    when its support mask lies inside the other's."""
+    when its support mask lies inside the other's, and a membership residual
+    can be reached only when its mask lies inside the remaining columns'."""
     mask = 0
     for k, p in enumerate(e):
         if p:
@@ -330,29 +333,27 @@ def relations_up_to_degree(matrix: ExponentMatrix, max_degree: int) -> list[Tori
 def solve_monomial_membership(matrix: ExponentMatrix, target) -> tuple[int, ...] | None:
     """Some v >= 0 with A v = target, or None when no solution exists.
 
-    Depth-first search over the columns in decreasing total-degree order,
-    trying large multiplicities first; branches whose residual goes
-    negative, or whose positive residual rows cannot be covered by the
-    remaining columns, are pruned.
+    Depth-first search over the nonzero columns in decreasing total-degree
+    order, trying large multiplicities first; a zero column adds nothing to
+    A v, so it is skipped and its entry of v is 0.  Branches whose residual
+    goes negative, or whose nonzero residual rows (``_support``) lie outside
+    the rows of the remaining columns, are pruned.
     """
     b = _integers(target)
     if len(b) != matrix.nrows:
         raise ValueError("target length differs from row count")
     if any(x < 0 for x in b):
         raise ValueError("target entries must be nonnegative")
-    s = matrix.ncols
-    cols = sorted(range(s), key=lambda j: (-sum(matrix.columns[j]), j))
+    columns = matrix.columns
+    nonzero = (j for j in range(matrix.ncols) if any(columns[j]))
+    cols = sorted(nonzero, key=lambda j: (-sum(columns[j]), j))
     # rows that can still be decreased by columns from position k onward
-    coverage = [0] * (s + 1)
-    for k in range(s - 1, -1, -1):
-        mask = coverage[k + 1]
-        for r, a in enumerate(matrix.columns[cols[k]]):
-            if a:
-                mask |= 1 << r
-        coverage[k] = mask
+    coverage = [0] * (len(cols) + 1)
+    for k in range(len(cols) - 1, -1, -1):
+        coverage[k] = coverage[k + 1] | _support(columns[cols[k]])
 
-    solution = [0] * s
-    if _search(matrix.columns, cols, coverage, solution, 0, b):
+    solution = [0] * matrix.ncols
+    if _search(columns, cols, coverage, solution, 0, b):
         return tuple(solution)
     return None
 
@@ -364,21 +365,16 @@ def _search(columns, cols, coverage, solution, k: int, residual) -> bool:
     Module level rather than nested: a nested recursive helper refers to
     itself through its closure, a cycle that outlives every call.
     """
-    if all(x == 0 for x in residual):
+    rows = _support(residual)
+    if not rows:
         return True
-    if k == len(cols):
-        return False
-    mask = coverage[k]
-    if any(x and not (mask >> r) & 1 for r, x in enumerate(residual)):
+    if rows & ~coverage[k]:  # past the last column, coverage is 0
         return False
     col = columns[cols[k]]
-    if all(a == 0 for a in col):
-        return _search(columns, cols, coverage, solution, k + 1, residual)
     bound = min(x // a for x, a in zip(residual, col) if a)
     for value in range(bound, -1, -1):
         nxt = tuple(x - value * a for x, a in zip(residual, col))
         solution[cols[k]] = value
         if _search(columns, cols, coverage, solution, k + 1, nxt):
             return True
-    solution[cols[k]] = 0
-    return False
+    return False  # the last value tried was 0: solution[cols[k]] is 0 again

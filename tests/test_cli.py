@@ -482,8 +482,8 @@ def test_map_classes_runs_serially_when_clamped_to_one(monkeypatch):
 @pytest.mark.parametrize(
     "command, check, error",
     [
-        ("detect-sagbi", "_check_sagbi_subduction", SubductionLimitError("cap hit")),
-        ("universal-sagbi", "_check_sagbi_subduction", SubductionLimitError("cap")),
+        ("detect-sagbi", "is_sagbi_subduction", SubductionLimitError("cap hit")),
+        ("universal-sagbi", "is_sagbi_subduction", SubductionLimitError("cap")),
         ("detect-gb", "_check_gb", RecursionError("maximum recursion depth")),
         ("universal-gb", "_check_gb", RecursionError("maximum recursion depth")),
     ],
@@ -491,10 +491,12 @@ def test_map_classes_runs_serially_when_clamped_to_one(monkeypatch):
 def test_limit_failures_exit_2_with_one_line(
     tmp_path, capsys, monkeypatch, command, check, error
 ):
-    def failing(*args):
+    def failing(*args, **kwargs):  # the subduction check takes ``shared``
         raise error
 
-    monkeypatch.setattr(detect, check, failing)
+    # verdicts binds the subduction check from sagbi, the Groebner one
+    # from detect
+    monkeypatch.setattr(detect if check == "_check_gb" else sagbi, check, failing)
     path = write_system(tmp_path, systems.twisted_cubic())
     code, out, err = run_cli(capsys, command, "--input", path)
     assert code == 2
@@ -565,6 +567,9 @@ def test_universal_stops_at_first_failing_class(tmp_path, capsys, monkeypatch):
         reports.append(json.loads(out))
         if jobs == "1":
             assert checked == classes[: first_failure + 1]
+            # the pool pickles the check by its qualified name, which a
+            # local stand-in does not have
+            monkeypatch.undo()
     assert reports[0] == reports[1]
     assert reports[0]["universal"] is False
     assert reports[0]["counterexample"]["weight"] == list(

@@ -4,14 +4,18 @@ A ``_private`` function, class or method is not part of the public API,
 so only the package itself can call it.  One that nothing in ``src/``
 reads, other than its own body, is dead code; a change that removes the
 last caller of a helper must remove the helper too.  Tests do not count
-as readers.  In the same way, every name a module imports must be read in
-that module: an import left behind by a deleted reader is dead too.
+as readers.  In the same way, every name a module of the package, the
+tests or the tools imports must be read in that module: an import left
+behind by a deleted reader is dead too.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "basisdetect"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "basisdetect"
+TESTS = ROOT / "tests"
+TOOLS = ROOT / "tools"
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -65,7 +69,7 @@ def _imported_names(tree):
 
 def test_every_import_is_read():
     unread = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(p for d in (PACKAGE, TESTS, TOOLS) for p in d.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         read = {
             node.id
@@ -73,7 +77,7 @@ def test_every_import_is_read():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
         unread += [
-            "%s: %s (line %d)" % (path.name, name, line)
+            "%s: %s (line %d)" % (path.relative_to(ROOT), name, line)
             for name, line in _imported_names(tree)
             if name not in read
         ]

@@ -3,15 +3,17 @@
 Instance counts follow the acceptance checklist: 500 division identities,
 200 subduction reconstructions, 100 toric vanishing checks, 50 toric
 completeness checks, 50 enumeration completeness checks, plus the
-cross-oracle agreement of the two SAGBI criteria on every homogeneous
-benchmark system, and the constancy of the Groebner and SAGBI verdicts
-across several weights of each class.
+agreement of the two SAGBI criteria on every homogeneous benchmark system
+(a class that passes subduction passes the truncated Hilbert comparison),
+and the constancy of the Groebner and SAGBI verdicts across several
+weights of each class.
 """
 
 import itertools
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,9 +25,9 @@ from basisdetect import (
     TermOrder,
     buchberger,
     extract_weight_vectors,
+    homogenize_with_t,
     initial_form,
     is_groebner_basis,
-    is_sagbi_hilbert,
     is_sagbi_subduction,
     leading_tuple,
     normal_form,
@@ -33,18 +35,17 @@ from basisdetect import (
     solve_monomial_membership,
     subduction,
     toric_ideal_generators,
+    verdicts,
 )
+from basisdetect.cli import parse_system
 from basisdetect.polyring import dot
 from basisdetect.toric import relations_up_to_degree
-from basisdetect.sagbi import (
-    _power_product,
-    _relation_spoly,
-    _sagbi_failure_witness,
-)
+from basisdetect.sagbi import _power_product, _relation_spoly
 
 import groebner_oracle
 import hilbert_oracle
-import systems
+
+SYSTEM_FILES = Path(__file__).resolve().parent.parent / "systems"
 
 RINGS = {n: ring(*["x%d" % i for i in range(1, n + 1)]) for n in (1, 2, 3)}
 
@@ -223,19 +224,50 @@ def test_membership_against_exhaustive_oracle():
         n = matrix.nrows
         b = tuple(rng.randint(0, 6) for _ in range(n))
         answer = solve_monomial_membership(matrix, b)
-        # oracle: exhaustive scan over static per-column bounds
+        # oracle: exhaustive scan over static per-column bounds, in the
+        # documented search order (columns by decreasing total degree, then
+        # by index; multiplicities from large to small), so that the first
+        # solution listed is the one the search must return
         bounds = []
         for col in matrix.columns:
             positive = [b[r] // a for r, a in enumerate(col) if a]
             bounds.append(min(positive) if positive else 0)
-        exists = any(
-            matrix.apply(v) == b
-            for v in itertools.product(*[range(k + 1) for k in bounds])
-        )
-        if answer is None:
-            assert not exists
-        else:
-            assert matrix.apply(answer) == b
+        s = matrix.ncols
+        order = sorted(range(s), key=lambda j: (-sum(matrix.columns[j]), j))
+        first = None
+        for values in itertools.product(*[range(bounds[j], -1, -1) for j in order]):
+            v = [0] * s
+            for j, x in zip(order, values):
+                v[j] = x
+            if matrix.apply(v) == b:
+                first = tuple(v)
+                break
+        assert answer == first, (matrix, b)
+
+
+@pytest.mark.parametrize("homogenize", [False, True], ids=["plain", "t"])
+def test_subduction_pass_implies_hilbert_pass(homogenize):
+    # A SAGBI basis has the Hilbert function of its subalgebra in every
+    # degree, so each class that passes subduction passes the Hilbert
+    # comparison at any bound.  Not the converse: a comparison truncated
+    # below a missing relation may pass where subduction fails.
+    homogeneous = []
+    for path in sorted(SYSTEM_FILES.glob("*.sys")):
+        polys = parse_system(path.read_text())
+        if all(f.is_homogeneous() for f in polys):
+            homogeneous.append((path.name, polys))
+    assert len(homogeneous) == 8, [name for name, _ in homogeneous]
+    for name, polys in homogeneous:
+        if homogenize:
+            polys = homogenize_with_t(polys)
+        passing = {cls for cls, ok in verdicts(polys, "subduction") if ok}
+        for bound in (4, 6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", HilbertBoundWarning)
+                hilbert = {
+                    cls for cls, ok in verdicts(polys, "hilbert", bound=bound) if ok
+                }
+            assert passing <= hilbert, (name, bound, passing - hilbert)
 
 
 def test_extract_weight_vectors_complete_50_systems():
