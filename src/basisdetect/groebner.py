@@ -4,6 +4,11 @@ Detection over term-order classes (:mod:`basisdetect.detect`) runs the
 criterion once per class, with the class certificate weight refined to a
 total order.  The verdict is constant on each class, so any certificate
 gives the class answer.
+
+The criterion and the completion share one integer kernel: the
+generators made primitive over the integers, their S-pairs from
+``_s_pair`` and the top reduction ``_top_reduce``.  ``normal_form`` is
+the one division in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -48,38 +53,23 @@ def normal_form(
         f._check_ring(g)
         if g.is_zero():
             raise ValueError("zero divisor")
+    leads = [order.leading_term(g) for g in divisors]
     quotients = [dict() for _ in divisors]
-    remainder = _remainder(f, [_divisor(g, order) for g in divisors], order, quotients)
-    return DivisionResult([Polynomial(f.ring, q) for q in quotients], remainder)
-
-
-def _divisor(g: Polynomial, order: TermOrder) -> tuple:
-    """g as ``_remainder`` takes it: (lead exponent, lead coefficient,
-    terms)."""
-    return (*order.leading_term(g), g.terms)
-
-
-def _remainder(f, divisors, order, quotients=None) -> Polynomial:
-    """The remainder of ``normal_form`` by divisors given by ``_divisor``;
-    the quotient terms are written to ``quotients`` (one dict per divisor)
-    only when that is given."""
     remainder: dict = {}
     work = dict(f.terms)
     while work:
         lead = max(work, key=order.key)
-        coeff = work[lead]
-        for i, (gexp, gcoeff, g) in enumerate(divisors):
+        for (gexp, gcoeff), g, q in zip(leads, divisors, quotients):
             if _divides(gexp, lead):
                 shift = _sub(lead, gexp)
-                factor = coeff / gcoeff
-                if quotients is not None:
-                    quotients[i][shift] = factor
-                _add_multiple(work, -factor, shift, g)
+                q[shift] = work[lead] / gcoeff
+                _add_multiple(work, -q[shift], shift, g.terms)
                 break
         else:
-            remainder[lead] = coeff
-            del work[lead]
-    return Polynomial(f.ring, remainder)
+            remainder[lead] = work.pop(lead)
+    return DivisionResult(
+        [Polynomial(f.ring, q) for q in quotients], Polynomial(f.ring, remainder)
+    )
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
@@ -95,26 +85,40 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     return Polynomial(f.ring, terms)
 
 
-def _primitive_terms(f: Polynomial, lead: Exponent) -> dict:
-    """The terms of f times the rational number that makes them coprime
-    integers with a positive coefficient at ``lead``."""
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    terms = {e: int(c * scale) for e, c in f.terms.items()}
-    content = gcd(*terms.values()) if terms[lead] > 0 else -gcd(*terms.values())
-    return {e: c // content for e, c in terms.items()}
+def _primitive(terms: dict, lead: Exponent) -> tuple:
+    """The divisor ``(lead, terms)`` of the kernel: ``terms`` (rational or
+    integer coefficients) times the rational number that makes them
+    coprime integers with a positive coefficient at ``lead``."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: int(c * scale) for e, c in terms.items()}
+    content = gcd(*ints.values()) if ints[lead] > 0 else -gcd(*ints.values())
+    return lead, {e: c // content for e, c in ints.items()}
 
 
-def _reduces_to_zero(work: dict, divisors: list, key) -> bool:
-    """Whether division of the integer term dict ``work`` by the primitive
-    ``divisors`` ((lead, terms) pairs, positive leading coefficients) ends
-    in remainder zero; ``work`` is consumed.
+def _s_pair(a: tuple, b: tuple) -> dict:
+    """The integer S-pair of two primitive divisors ``(lead, terms)``: each
+    is multiplied up to the lcm of the leads, by coprime integers chosen so
+    that the lcm cancels."""
+    (alead, f), (blead, g) = a, b
+    m = _exp_lcm(alead, blead)
+    common = gcd(f[alead], g[blead])
+    spair: dict = {}
+    _add_multiple(spair, g[blead] // common, _sub(m, alead), f)
+    _add_multiple(spair, -(f[alead] // common), _sub(m, blead), g)
+    return spair
+
+
+def _top_reduce(work: dict, divisors: list, key) -> dict:
+    """What is left of the integer term dict ``work`` after top reduction
+    by the primitive ``divisors``: empty when it reduces to zero, otherwise
+    the work whose lead no divisor's lead divides.  ``work`` is changed in
+    place.
 
     Each step is work = a * work - b * x^s * g, divided by its content,
     with the first divisor g whose lead divides that of work.  Scaling by
     a nonzero integer changes no exponent, so the leads are those of
-    ``normal_form``; they strictly decrease, so a lead that no divisor's
-    lead divides would stay in the remainder, and the answer is False at
-    once.
+    ``normal_form``; they strictly decrease, and the first lead that no
+    divisor's lead divides is the lead of the ``normal_form`` remainder.
     """
     while work:
         lead = max(work, key=key)
@@ -122,7 +126,7 @@ def _reduces_to_zero(work: dict, divisors: list, key) -> bool:
             if _divides(glead, lead):
                 break
         else:
-            return False
+            return work
         common = gcd(work[lead], g[glead])
         a, b = g[glead] // common, work[lead] // common
         for e in work:
@@ -131,7 +135,7 @@ def _reduces_to_zero(work: dict, divisors: list, key) -> bool:
         content = gcd(*work.values())
         for e in work:
             work[e] //= content
-    return True
+    return work
 
 
 def is_groebner_basis(polys: list[Polynomial], order: TermOrder) -> bool:
@@ -143,20 +147,12 @@ def is_groebner_basis(polys: list[Polynomial], order: TermOrder) -> bool:
     that does not reduce to zero.
     """
     check_generators(polys)
-    divisors = []
-    for f in polys:
-        lead = order.leading_exponent(f)
-        divisors.append((lead, _primitive_terms(f, lead)))
-    for i, (ilead, f) in enumerate(divisors):
-        for jlead, g in divisors[i + 1 :]:
-            if _coprime(ilead, jlead):
-                continue
-            m = _exp_lcm(ilead, jlead)
-            common = gcd(f[ilead], g[jlead])
-            spair: dict = {}
-            _add_multiple(spair, g[jlead] // common, _sub(m, ilead), f)
-            _add_multiple(spair, -(f[ilead] // common), _sub(m, jlead), g)
-            if not _reduces_to_zero(spair, divisors, order.key):
+    divisors = [_primitive(f.terms, order.leading_exponent(f)) for f in polys]
+    for i, a in enumerate(divisors):
+        for b in divisors[i + 1 :]:
+            if not _coprime(a[0], b[0]) and _top_reduce(
+                _s_pair(a, b), divisors, order.key
+            ):
                 return False
     return True
 
@@ -166,16 +162,18 @@ def buchberger(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
 
     Plain Buchberger with the product (coprime-lead) and chain criteria;
     the pair queue is keyed by lcm total degree then lcm, so output is
-    deterministic.  The final basis is inter-reduced and monic, sorted by
-    leading exponent.
+    deterministic.  It runs on the integer kernel of ``is_groebner_basis``:
+    an S-pair is only top-reduced, and what is left joins the basis made
+    primitive.  The tails are reduced once, at the end: inter-reduction
+    through ``normal_form`` gives the reduced basis, which is unique,
+    monic and sorted by leading exponent.
     """
     check_generators(polys)
-    basis = list(polys)
-    divisors = [_divisor(f, order) for f in basis]
-    leads = [d[0] for d in divisors]
+    divisors = [_primitive(f.terms, order.leading_exponent(f)) for f in polys]
+    leads = [lead for lead, _ in divisors]
     queue: list = []
     pending: set = set()
-    for i in range(len(basis)):
+    for i in range(len(divisors)):
         for j in range(i):
             _push_pair(queue, pending, leads, j, i)
     while queue:
@@ -183,20 +181,16 @@ def buchberger(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
         pending.discard((i, j))
         if _coprime(leads[i], leads[j]) or _chain(leads, pending, i, j, lcm_exp):
             continue
-        spoly = s_polynomial(basis[i], basis[j], order)
-        if spoly.is_zero():
+        rest = _top_reduce(_s_pair(divisors[i], divisors[j]), divisors, order.key)
+        if not rest:
             continue
-        remainder = _remainder(spoly, divisors, order)
-        if remainder.is_zero():
-            continue
-        remainder = remainder.scale(1 / order.leading_term(remainder)[1])
-        basis.append(remainder)
-        divisors.append(_divisor(remainder, order))
+        divisors.append(_primitive(rest, max(rest, key=order.key)))
         leads.append(divisors[-1][0])
-        new = len(basis) - 1
+        new = len(divisors) - 1
         for k in range(new):
             _push_pair(queue, pending, leads, k, new)
-    return interreduce(basis, order)
+    ring = polys[0].ring
+    return _interreduce([Polynomial(ring, g) for _, g in divisors], order)
 
 
 def _push_pair(queue, pending, leads, i, j):
@@ -223,8 +217,9 @@ def _chain(leads, pending, i, j, lcm_exp) -> bool:
     )
 
 
-def interreduce(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
-    """Minimalize leading terms, then fully reduce tails; monic output."""
+def _interreduce(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
+    """Minimalize leading terms, then reduce each tail by the others with
+    ``normal_form``; monic output, sorted by leading exponent."""
     items = sorted(
         ((order.leading_exponent(g), g) for g in polys),
         key=lambda t: order.key(t[0]),
@@ -234,12 +229,8 @@ def interreduce(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
         if not any(_divides(kept, exp) for kept, _ in minimal):
             minimal.append((exp, g))
     reduced = []
-    divisors = [_divisor(g, order) for _, g in minimal]
     for idx, (exp, g) in enumerate(minimal):
-        others = divisors[:idx] + divisors[idx + 1 :]
-        if others:
-            g = _remainder(g, others, order)
-        g = g.scale(1 / order.leading_term(g)[1])
-        reduced.append(g)
-    reduced.sort(key=lambda g: order.key(order.leading_exponent(g)))
+        others = [h for _, h in minimal[:idx] + minimal[idx + 1 :]]
+        g = normal_form(g, others, order).remainder
+        reduced.append(g.scale(1 / g.terms[exp]))
     return reduced

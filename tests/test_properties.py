@@ -378,9 +378,29 @@ def test_buchberger_output_passes_criterion_50():
         order = random_order(rng, nvars)
         basis = buchberger(gens, order)
         assert is_groebner_basis(basis, order)
+        # the production criterion shares the completion's integer kernel,
+        # so the Fraction S-pair loop checks the output too
+        assert groebner_oracle.is_groebner_basis(basis, order)
         # inputs reduce to zero against their own completion
         for f in gens:
             assert normal_form(f, basis, order).remainder.is_zero()
+
+
+def test_buchberger_matches_oracle_200():
+    # the integer completion against plain Fraction Buchberger: the reduced
+    # basis is unique, so the two lists must be equal element by element
+    rng = random.Random(20261020)
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        gens = [
+            random_polynomial(rng, nvars, max_degree=3, max_terms=3)
+            for _ in range(rng.randint(1, 3))
+        ]
+        order = random_order(rng, nvars)
+        assert buchberger(gens, order) == groebner_oracle.buchberger(gens, order), (
+            gens,
+            order,
+        )
 
 
 def test_criterion_matches_oracle_on_random_systems():

@@ -1,15 +1,15 @@
 """Reference code, kept as test oracles for ``basisdetect.toric``.
 
-``toric_ideal_generators`` runs the generic ``Fraction`` Buchberger
-(``basisdetect.buchberger``) on <y_i - x^alpha_i> under an x-eliminating
-block order and keeps the basis elements free of x-variables.  The reduced
-Groebner basis is unique, so the production binomial engine must return
-exactly the same list.
+``toric_ideal_generators`` runs the generic Buchberger
+(``basisdetect.buchberger``, on integer S-pairs) on <y_i - x^alpha_i>
+under an x-eliminating block order and keeps the basis elements free of
+x-variables.  The reduced Groebner basis is unique, so the production
+binomial engine must return exactly the same list.
 
 ``relations_up_to_degree`` walks the column multisets depth first with an
 explicit stack and keys each by ``matrix.apply``; the production version,
-which takes them from ``itertools.combinations_with_replacement``, must
-return exactly the same list.
+which builds each multiset from one of size one less, must return exactly
+the same list.
 """
 
 from __future__ import annotations
