@@ -19,13 +19,15 @@ more digits than the interpreter converts (4300 by default).
 Exit codes: 0 on success (and for ``-h``), 1 when a detect command finds
 no classes, 2 on usage, input or option errors, when a computation hits a
 resource limit (10 000 steps in one subduction, recursion depth, memory:
-``limit error: out of memory``), and on an output error such as a closed
-stdout.  Reports go to stdout, diagnostics to stderr; a usage error
-prints a ``usage:`` line and ``basisdetect: error: <reason>``.
+``limit error: out of memory``), and when stdout cannot be written
+(``output error: <reason>``: a reader that has gone, a full device, no
+stdout at all).  Reports go to stdout, diagnostics to stderr; a usage
+error prints a ``usage:`` line and ``basisdetect: error: <reason>``.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
@@ -33,6 +35,7 @@ import warnings
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
+from typing import NoReturn
 
 from .orders import OrderClass, extract_weight_vectors
 from .polyring import (
@@ -50,6 +53,11 @@ HEADER_LINE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*:")
 # operands, and hostile input such as (x+y)^100000 must fail at once.
 MAX_DEGREE = 100
 MAX_TERMS = 10_000
+
+
+class _OutputError(Exception):
+    """A write to stdout failed, or there is no stdout (fd 1 was closed at
+    start).  Not a ValueError, so ``run`` does not read it as bad input."""
 
 
 class ParseError(ValueError):
@@ -279,13 +287,25 @@ def _render_class_line(entry: dict) -> str:
     )
 
 
-def _emit(report: dict, fmt: str, out) -> None:
+def _write(text: str) -> None:
+    """Write ``text`` to stdout and flush it; each command line writes
+    stdout once.  Any failure is an ``_OutputError``."""
+    if sys.stdout is None:
+        raise _OutputError("stdout is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
+def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         import json  # only here: a text report need not load it
 
         # one write: json.dump writes token by token, and with an
         # unbuffered stdout each of those writes is a system call
-        out.write(json.dumps(report, indent=2) + "\n")
+        _write(json.dumps(report, indent=2) + "\n")
         return
     lines = []
     if "classes" in report:
@@ -314,7 +334,7 @@ def _emit(report: dict, fmt: str, out) -> None:
                 lines.append("  " + _render_class_line(entry))
     if report.get("bound_warning"):
         lines.append("warning: %s" % report["bound_warning"])
-    out.write("\n".join(lines) + "\n")
+    _write("\n".join(lines) + "\n")
 
 
 def _group_entry(ring: PolynomialRing, criterion: str, group) -> dict:
@@ -407,7 +427,7 @@ def run(args) -> int:
                     )
         if bound_warnings:
             report["bound_warning"] = bound_warnings[-1]
-        _emit(report, args.format, sys.stdout)
+        _emit(report, args.format)
         if command.startswith("detect-") and not report["classes"]:
             return 1
         return 0
@@ -615,19 +635,33 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         if args is None:
-            sys.stdout.write(_help())
-            code = 0
-        else:
-            code = run(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError as exc:
-        # the reader has closed stdout; point it at devnull so that the
-        # flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _write(_help())
+            return 0
+        return run(args)
+    except _OutputError as exc:
+        if sys.stdout is not None:
+            # point fd 1 at devnull, so that the flush at exit cannot fail
+            # again on what is left in the buffer
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         sys.stderr.write("output error: %s\n" % exc)
         return 2
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def entry() -> NoReturn:
+    """The process entry, of ``python -m basisdetect`` and of the
+    ``basisdetect`` script: run ``main`` on ``sys.argv[1:]``, then exit
+    with its code.
+
+    The heap is frozen (``gc.freeze``) before the exit, so the collections
+    of interpreter finalization skip the modules, classes and functions
+    that the finished run leaves; that saves about 5 ms per process.  The
+    exit is otherwise the ordinary ``SystemExit``: atexit handlers and the
+    flush of the standard streams still run, and a caller that runs the
+    module through ``runpy`` (``python -m cProfile -m basisdetect``) goes
+    on as before.  ``main`` itself leaves the collector alone.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -835,3 +835,29 @@ def test_closed_stdout_is_an_output_error():
     assert child.returncode == 2
     assert err.decode().startswith("output error: ")
     assert err.count(b"\n") == 1
+
+
+
+@pytest.mark.parametrize("argv", [["classes", "--input", "-"], ["--help"]])
+@pytest.mark.parametrize(
+    "redirect, reason",
+    [
+        # the write to the buffer succeeds and the flush fails
+        (">/dev/full", "[Errno 28] No space left on device"),
+        # started with fd 1 closed, the interpreter has no sys.stdout
+        (">&-", "stdout is closed"),
+    ],
+    ids=["full", "closed"],
+)
+def test_unwritable_stdout_is_an_output_error(argv, redirect, reason):
+    if redirect == ">/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" ' + redirect, "sh", sys.executable, "-m",
+         "basisdetect", *argv],
+        input=b"ring: x, y\npolys:\nx*y\n",
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.returncode == 2
+    assert done.stderr == b"output error: %s\n" % reason.encode()

@@ -1,20 +1,32 @@
-"""Start-up guard: each command runs only the layers it needs.
+"""Start-up and exit guards for the process entry.
 
 Every command line run is a fresh interpreter, so what it imports is paid
 on every invocation.  Each command runs here in its own subprocess on a
 one-polynomial system; the modules whose code ran by the time
 ``cli.main`` returned are compared with the layers the command needs.
+
+The process entry (``cli.entry``, run by ``python -m basisdetect``) freezes
+the heap before it exits; the tests at the end check that a process run
+through it writes what ``cli.main`` writes in process, still returns to a
+``runpy`` caller, and leaves no worker process behind.
 """
 
+import contextlib
+import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from basisdetect import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+SYSTEMS_DIR = ROOT / "systems"
 
 # Prints the basisdetect modules whose code has run, and every module name,
 # both taken before the probe loads json to print them.  A module registered
@@ -103,3 +115,120 @@ def test_monomials_need_no_lp(tmp_path):
     seen = _probe(tmp_path, RUN_COMMAND.format(argv=["detect-gb", "--input", str(path)]))
     assert "basisdetect.orders" in seen["ran"]
     assert "basisdetect.lp" not in seen["ran"]
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+
+
+def _entry_env() -> dict:
+    return dict(os.environ, PYTHONPATH=SRC)
+
+
+def test_entry_writes_the_in_process_report_to_a_pipe_and_a_file(
+    tmp_path, capsys
+):
+    argv = ["classes", "--input", str(SYSTEMS_DIR / "minors_2x2_of_3x3.sys"),
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 4096  # more than one pipe write of some systems
+    command = [sys.executable, "-m", "basisdetect", *argv]
+    piped = subprocess.run(command, capture_output=True, env=_entry_env())
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, expected, b"")
+    path = tmp_path / "report.json"
+    with open(path, "wb") as handle:
+        done = subprocess.run(
+            command, stdout=handle, stderr=subprocess.PIPE, env=_entry_env()
+        )
+    assert (done.returncode, path.read_bytes(), done.stderr) == (0, expected, b"")
+
+
+def test_entry_returns_to_a_runpy_caller():
+    # cProfile runs the module through runpy, catches SystemExit and then
+    # prints its table, after the report
+    done = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "basisdetect", "classes",
+         "--input", str(SYSTEMS_DIR / "twisted_cubic.sys")],
+        capture_output=True,
+        text=True,
+        env=_entry_env(),
+    )
+    assert done.returncode == 0, done.stderr
+    report, _, stats = done.stdout.partition("function calls")
+    assert report.startswith("found 6 classes\n")
+    assert "ncalls  tottime  percall  cumtime  percall" in stats
+    assert "cli.py" in stats and "(entry)" in stats
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    argv = ["classes", "--input", str(SYSTEMS_DIR / "twisted_cubic.sys")]
+    assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+
+
+# Runs the entry as ``python -m basisdetect`` does, with two CPUs whatever
+# the machine has, so that ``--jobs 2`` always starts a pool; the workers
+# are forked, so they inherit the subduction cap set here.
+ENTRY_WITH_TWO_CPUS = """
+import os, runpy, sys
+os.cpu_count = lambda: 2
+from basisdetect import sagbi
+sagbi.SUBDUCTION_CAP = {cap}
+sys.argv = ["basisdetect", *{argv!r}]
+runpy.run_module("basisdetect", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, cap, code, first_line",
+    [
+        (["detect-sagbi", "--input", "grassmannian_2_4.sys"], 10_000, 0,
+         "found 24 classes"),
+        (["universal-sagbi", "--input", "twisted_cubic.sys"], 10_000, 0,
+         "universal: false"),
+        # each class's subduction needs more than one step, so the cap is
+        # hit in a worker
+        (["detect-sagbi", "--input", "-"], 1, 2, ""),
+    ],
+    ids=["detect-sagbi", "universal-sagbi-counterexample", "limit-error-in-worker"],
+)
+def test_entry_with_jobs_leaves_no_process_running(
+    tmp_path, argv, cap, code, first_line
+):
+    # files, not pipes: a worker left running would hold a pipe open
+    streams = [tmp_path / name for name in ("in", "out", "err")]
+    streams[0].write_text("ring: x, y\npolys:\nx\ny\nx^2 + y + 1\n")
+    with contextlib.ExitStack() as stack:
+        stdin, stdout, stderr = (
+            stack.enter_context(open(path, mode))
+            for path, mode in zip(streams, "rww")
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c",
+             ENTRY_WITH_TWO_CPUS.format(cap=cap, argv=[*argv, "--jobs", "2"])],
+            cwd=SYSTEMS_DIR,
+            env=_entry_env(),
+            stdin=stdin,
+            stdout=stdout,
+            stderr=stderr,
+            start_new_session=True,
+        )
+        try:
+            child.wait(timeout=120)
+            # the child led its own process group; every worker has gone
+            # with it
+            with pytest.raises(ProcessLookupError):
+                os.killpg(child.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+    out, err = (path.read_text() for path in streams[1:])
+    assert child.returncode == code, err
+    assert out.split("\n", 1)[0] == first_line
+    if code == 2:
+        assert err == "limit error: subduction did not finish within 1 steps\n"
+    else:
+        assert err == ""

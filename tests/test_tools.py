@@ -1,6 +1,8 @@
 """The maintenance tools in ``tools/``: the line counter and the report
 comparison, loaded from their files (``tools`` is not a package)."""
 
+import os
+import time
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
@@ -65,3 +67,60 @@ def test_too_many_arguments_print_the_usage_line(tool, argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == tool.USAGE + "\n"
+
+
+# a stand-in for a source tree whose ``python -m basisdetect`` prints the
+# same report either way, and on request leaves a process running that
+# holds none of its output pipes
+FAKE_MAIN = """
+import subprocess, sys
+if {leave}:
+    subprocess.Popen(
+        [sys.executable, "-c", "import time; time.sleep(60)"],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+print("found 0 classes")
+"""
+
+
+def _fake_tree(root: Path, leave: bool) -> Path:
+    package = root / "basisdetect"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(FAKE_MAIN.format(leave=leave))
+    return root
+
+
+def test_a_process_left_running_is_a_difference_and_is_killed(
+    tmp_path, monkeypatch, capsys
+):
+    parent = _fake_tree(tmp_path / "parent", leave=False)
+    change = _fake_tree(tmp_path / "change", leave=True)
+    (tmp_path / "systems").mkdir()
+    (tmp_path / "systems" / "one.sys").write_text("ring: x\npolys:\nx\n")
+    monkeypatch.setattr(compare_reports, "SYSTEMS", tmp_path / "systems")
+    monkeypatch.setattr(compare_reports, "COMMANDS", [["classes"]])
+    monkeypatch.setattr(compare_reports, "VARIANTS", [[]])
+    assert compare_reports.main([str(parent), str(change), "30"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        "differs: basisdetect classes --input one.sys",
+        "1 runs: 0 equal, 1 differ, 0 skipped (parent timed out after 30 s)",
+    ]
+    # the same report, and the process left behind is reported and killed
+    runs = {}
+    for tree in (parent, change):
+        process = compare_reports._start(tree, ["classes"])
+        runs[tree] = compare_reports._finish(process, time.monotonic() + 30)
+        deadline = time.monotonic() + 20  # the orphan waits for its reaper
+        while True:
+            try:
+                os.killpg(process.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "process group still running"
+            time.sleep(0.05)
+    assert runs[parent] == (0, b"found 0 classes\n", b"", False)
+    assert runs[change] == (0, b"found 0 classes\n", b"", True)

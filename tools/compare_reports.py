@@ -10,7 +10,10 @@ nicer`` and ``rank --criterion preferable``), each in text and JSON and
 with and without ``--homogenize-t``: 320 runs on the 10 files.  Each run
 is ``python -m basisdetect`` in a subprocess whose ``PYTHONPATH`` is one
 of the trees; this script never imports the package.  The two runs of a
-command line must agree on stdout, stderr and the exit code.
+command line must agree on stdout, stderr and the exit code.  Each run
+starts its own session, and a run that leaves a process in its process
+group (a worker of ``--jobs``, say) differs, whatever it printed; the
+process left is killed.
 
 A run that takes longer than TIMEOUT seconds (default 40) on the parent
 is skipped and counted; one that times out only on the change counts as
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -59,19 +63,32 @@ def _start(src: Path, argv: list[str]) -> subprocess.Popen:
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        start_new_session=True,
     )
 
 
+def _kill_group(process: subprocess.Popen) -> bool:
+    """Kill what is left in the process group that ``process`` leads;
+    True when anything was."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def _finish(process: subprocess.Popen, deadline: float):
-    """(exit code, stdout, stderr), or None when the run was still going at
-    ``deadline`` (on the ``time.monotonic`` clock)."""
+    """(exit code, stdout, stderr, whether a process was left running), or
+    None when the run was still going at ``deadline`` (on the
+    ``time.monotonic`` clock).  Nothing of the run's group is left
+    running after it."""
     try:
         out, err = process.communicate(timeout=max(0.0, deadline - time.monotonic()))
     except subprocess.TimeoutExpired:
-        process.kill()
+        _kill_group(process)
         process.communicate()
         return None
-    return process.returncode, out, err
+    return process.returncode, out, err, _kill_group(process)
 
 
 def main(argv: list[str]) -> int:
@@ -93,7 +110,7 @@ def main(argv: list[str]) -> int:
             if before is None:
                 skipped += 1
                 print("skipped (parent timed out): " + line, flush=True)
-            elif before != after:
+            elif before != after or before[3] or after[3]:
                 differ += 1
                 print("differs: " + line, flush=True)
     print(
