@@ -6,11 +6,16 @@ line run loads only the layers its command needs.  The layer modules are
 in ``sys.modules`` from the start, so tools that look up the package's
 modules there (such as the benchmark's tracer, which wraps functions in
 the modules it finds) find every one of them.  The registration also lets
-a layer bind another as a module without running it: ``sagbi``'s
-``from . import toric`` and ``orders``' ``from . import lp`` take the
-registered module, whose code runs only when the first function is read
-from it, so ``rank`` never runs ``toric`` and a system of monomials, whose
+a layer bind another as a module without running it: ``orders``'
+``from . import lp`` takes the registered module, whose code runs only
+when the first function is read from it, so a system of monomials, whose
 classes need no cone program, never runs ``lp``.
+
+Each command runs only its own layers: enumeration (``orders``, ``lp``),
+then one of the Groebner criterion (``groebner``), the subduction
+criterion (``sagbi``, ``toric``), the Hilbert criterion (``hilbert``) or
+the ranking (``rank``, which loads ``hilbert`` for 'preferable').  The
+completion (``completion``) is library only.
 """
 
 import sys
@@ -18,6 +23,12 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # layer module -> the public names it defines
 _EXPORTS = {
+    "completion": (
+        "DivisionResult",
+        "buchberger",
+        "normal_form",
+        "s_polynomial",
+    ),
     "detect": (
         "is_universal_gb",
         "is_universal_sagbi",
@@ -25,21 +36,13 @@ _EXPORTS = {
         "weight_vectors_realizing_gb",
         "weight_vectors_realizing_sagbi",
     ),
-    "groebner": (
-        "DivisionResult",
-        "buchberger",
-        "is_groebner_basis",
-        "normal_form",
-        "s_polynomial",
-    ),
+    "groebner": ("is_groebner_basis",),
+    "hilbert": ("hilbert_vector", "is_sagbi_hilbert"),
     "orders": (
-        "LatticePolytope",
         "OrderClass",
         "cone_feasibility",
         "extract_weight_vectors",
         "leading_tuple",
-        "normalized_volume",
-        "polytope_dim",
     ),
     "polyring": (
         "HilbertBoundWarning",
@@ -51,12 +54,15 @@ _EXPORTS = {
         "initial_form",
         "ring",
     ),
+    "rank": (
+        "LatticePolytope",
+        "normalized_volume",
+        "polytope_dim",
+        "rank_orders",
+    ),
     "sagbi": (
         "SubductionResult",
-        "hilbert_vector",
-        "is_sagbi_hilbert",
         "is_sagbi_subduction",
-        "rank_orders",
         "subduction",
     ),
     "toric": (

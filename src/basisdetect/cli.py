@@ -22,7 +22,10 @@ resource limit (10 000 steps in one subduction, recursion depth, memory:
 ``limit error: out of memory``), and when stdout cannot be written
 (``output error: <reason>``: a reader that has gone, a full device, no
 stdout at all).  Reports go to stdout, diagnostics to stderr; a usage
-error prints a ``usage:`` line and ``basisdetect: error: <reason>``.
+error prints a ``usage:`` line and ``basisdetect: error: <reason>``.  A
+diagnostic that cannot be written (stderr closed) is dropped, and the
+exit code stays.  A JSON report is written by ``_json``, not by the
+``json`` package, which no command loads.
 """
 
 from __future__ import annotations
@@ -299,13 +302,80 @@ def _write(text: str) -> None:
         raise _OutputError(exc) from exc
 
 
+def _diagnose(text: str) -> None:
+    """Write one diagnostic line to stderr.  Without a stderr, or when the
+    write fails, the line is lost and the exit code stays as it is."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(text + "\n")
+    except OSError:
+        pass
+
+
+# the short escapes of json.dumps; other characters outside printable
+# ASCII are written as \uXXXX, as with its default ensure_ascii
+_JSON_ESCAPES = {
+    '"': '\\"',
+    "\\": "\\\\",
+    "\b": "\\b",
+    "\f": "\\f",
+    "\n": "\\n",
+    "\r": "\\r",
+    "\t": "\\t",
+}
+
+
+def _json_char(char: str) -> str:
+    escaped = _JSON_ESCAPES.get(char)
+    if escaped is not None:
+        return escaped
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code > 0xFFFF:  # outside the BMP: a UTF-16 surrogate pair
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+    return "\\u%04x" % code
+
+
+def _json_string(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    return '"' + "".join(map(_json_char, text)) + '"'
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the values a
+    report holds: dicts with str keys, lists, str, int, bool and None.
+    The report needs no more, and so no command loads ``json``."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [
+            inner + _json_string(k) + ": " + _json(v, inner) for k, v in value.items()
+        ]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [inner + _json(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError("%s is not a report value" % type(value).__name__)
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        import json  # only here: a text report need not load it
-
-        # one write: json.dump writes token by token, and with an
-        # unbuffered stdout each of those writes is a system call
-        _write(json.dumps(report, indent=2) + "\n")
+        _write(_json(report) + "\n")
         return
     lines = []
     if "classes" in report:
@@ -338,7 +408,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _group_entry(ring: PolynomialRing, criterion: str, group) -> dict:
-    """Report entry of one ``sagbi.RankGroup``."""
+    """Report entry of one ``rank.RankGroup``."""
     entry = {"classes": [_class_entry(ring, c) for c in group]}
     if criterion == "nicer":
         entry["dim"], entry["degree"] = group.score
@@ -360,10 +430,7 @@ def run(args) -> int:
     options = (("--jobs", args.jobs), ("--hilbert-bound", args.hilbert_bound))
     for option, value in options:
         if value is not None and value < 1:
-            print(
-                "option error: %s must be at least 1, got %d" % (option, value),
-                file=sys.stderr,
-            )
+            _diagnose("option error: %s must be at least 1, got %d" % (option, value))
             return 2
     try:
         if args.input == "-":
@@ -372,7 +439,7 @@ def run(args) -> int:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
+        _diagnose("input error: %s" % exc)
         return 2
     try:
         polys = parse_system(text)
@@ -400,7 +467,7 @@ def run(args) -> int:
                     _class_entry(ring, c) for c in extract_weight_vectors(polys)
                 ]
             elif command == "rank":
-                from .sagbi import rank_orders
+                from .rank import rank_orders
 
                 report["criterion"] = args.criterion
                 groups = rank_orders(polys, args.criterion, args.hilbert_bound)
@@ -432,13 +499,13 @@ def run(args) -> int:
             return 1
         return 0
     except (ParseError, ValueError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
+        _diagnose("input error: %s" % exc)
         return 2
     except (SubductionLimitError, RecursionError) as exc:
-        print("limit error: %s" % exc, file=sys.stderr)
+        _diagnose("limit error: %s" % exc)
         return 2
     except MemoryError:
-        print("limit error: out of memory", file=sys.stderr)
+        _diagnose("limit error: out of memory")
         return 2
 
 
@@ -631,7 +698,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
-        sys.stderr.write("%s\nbasisdetect: error: %s\n" % (USAGE, exc))
+        _diagnose("%s\nbasisdetect: error: %s" % (USAGE, exc))
         return 2
     try:
         if args is None:
@@ -645,7 +712,7 @@ def main(argv: list[str] | None = None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        sys.stderr.write("output error: %s\n" % exc)
+        _diagnose("output error: %s" % exc)
         return 2
 
 

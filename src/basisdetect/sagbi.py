@@ -1,18 +1,20 @@
-"""Subduction and SAGBI-basis detection over term-order classes.
+"""Subduction and the subduction criterion for SAGBI bases.
 
 A set F is a SAGBI basis of the subalgebra it generates, for a term order,
 exactly when every S-polynomial lifted from a generating relation among
 the leading monomials subduces to zero.  This module implements that
-criterion, an alternative Hilbert-function criterion for homogeneous
-generators, and two rankings (preferable / nicer) of the classes when
-detection fails.  The per-class detection loop is in
-:mod:`basisdetect.detect`.
+criterion; the per-class detection loop is in :mod:`basisdetect.detect`.
+The Hilbert-function criterion is in :mod:`basisdetect.hilbert` and the
+rankings in :mod:`basisdetect.rank`, so a subduction run compiles
+neither.  ``hilbert_vector`` and ``rank_orders`` are still read from this
+module by the benchmark's tracer, so this module's ``__getattr__`` hands
+out those two names from their modules, and loads them for nothing else.
 
-Both criteria rest on power products prod(F_i ** v_i) of the generators,
-and each is built as a smaller product times one generator: subduction
-and the lifted relations look them up in a table keyed by the
-multiplicity vector v, and read the leading coefficients they scale by
-off the products themselves.
+Subduction and the lifted relations rest on power products
+prod(F_i ** v_i) of the generators, each built as a smaller product times
+one generator and kept in a table keyed by the multiplicity vector v;
+the leading coefficients they scale by are read off the products
+themselves.
 
 The subduction criterion makes one pass per class: one matrix of leading
 exponents and one product table serve every lift and every subduction
@@ -22,41 +24,16 @@ generating set of the relation ideal, computed only once every low
 relation has subduced to zero.  The relations depend only on the
 lattice ker A of the lead matrix A, so in one serial run of
 ``detect.verdicts`` the classes of one lattice share their lists.
-
-The Hilbert criterion compares two functions of the degree.  The Hilbert
-function of the algebra of leading monomials depends on the class:
-``hilbert_vector`` builds its monomials degree by degree from the lower
-degrees, as packed integers (one bit field per variable).  A single-term
-generator has the same lead in every class, so the monoid B those fixed
-leads generate is built once, its layers B_t kept for the classes of a
-run; a class adds only the leads it chooses, as S_t = B_t united with
-(S_{t - d_i} + lead_i) over its other leads.  The Hilbert function of
-the subalgebra does not depend on the term order (Robbiano & Sweedler
-1990): it is the rank of the power products of each degree, which are
-built the same way, degree by degree from the lower degrees; it is
-computed once and shared by every class it is compared with.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections import Counter, deque
-from functools import lru_cache
+from collections import Counter
 from fractions import Fraction
 
-# used through the module, which loads it on first use: the ranking and
-# the Hilbert criterion never do
-from . import toric
-from .orders import (
-    LatticePolytope,
-    OrderClass,
-    extract_weight_vectors,
-    leading_tuple,
-    normalized_volume,
-    polytope_dim,
-)
+from . import polyring, toric
+from .orders import OrderClass
 from .polyring import (
-    HilbertBoundWarning,
     Polynomial,
     SubductionLimitError,
     TermOrder,
@@ -65,7 +42,8 @@ from .polyring import (
     check_generators,
 )
 
-DEFAULT_HILBERT_BOUND = 12
+# still public here, where it was defined before it moved to polyring
+HilbertBoundWarning = polyring.HilbertBoundWarning
 # steps of one subduction before SubductionLimitError (suspected
 # non-termination); ``_subduce`` reads it when it runs
 SUBDUCTION_CAP = 10_000
@@ -154,13 +132,6 @@ def _subduce(f, polys, order, matrix, cache) -> SubductionResult:
     return SubductionResult(Polynomial(f.ring, work), steps)
 
 
-def _certified_order(polys: list[Polynomial], cls: OrderClass) -> TermOrder:
-    order = cls.order()
-    if leading_tuple(polys, order) != cls.leads:
-        raise ValueError("order class is not certified for these polynomials")
-    return order
-
-
 def _relation_spoly(
     polys: list[Polynomial], u, v, lead, cache: dict
 ) -> Polynomial:
@@ -228,7 +199,7 @@ def _sagbi_failure_witness(
     against this class's matrix.
     """
     check_generators(polys)
-    order = _certified_order(polys, cls)
+    order = cls.certified_order(polys)
     matrix = toric.ExponentMatrix(cls.leads)
     cache: dict = {}
     for binomial in relations.of(matrix):
@@ -256,226 +227,15 @@ def is_sagbi_subduction(
     return _sagbi_failure_witness(polys, cls, relations) is None
 
 
-# ---------------------------------------------------------------------------
-# Hilbert-function criterion (homogeneous generators)
+def __getattr__(name: str):
+    # the Hilbert and ranking names the benchmark's tracer reads from this
+    # module
+    if name == "hilbert_vector":
+        from .hilbert import hilbert_vector
 
+        return hilbert_vector
+    if name == "rank_orders":
+        from .rank import rank_orders
 
-def _require_homogeneous(polys: list[Polynomial]) -> None:
-    for i, f in enumerate(polys, 1):
-        if not f.is_homogeneous():
-            raise ValueError(
-                "generator %d is not homogeneous; Hilbert functions need "
-                "homogeneous generators" % i
-            )
-
-
-def _rank_of_polynomials(polys: list[Polynomial]) -> int:
-    """Rank of the coefficient matrix, by exact Gaussian elimination."""
-    pivots: dict = {}
-    rank = 0
-    for f in polys:
-        row = dict(f.terms)
-        while row:
-            lead = max(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = Fraction(1) / row[lead]
-                pivots[lead] = {e: c * inv for e, c in row.items()}
-                rank += 1
-                break
-            _add_multiple(row, -row[lead], None, pivot)
-    return rank
-
-
-def _require_positive_bound(bound: int) -> None:
-    if bound < 1:
-        raise ValueError("Hilbert bound must be at least 1, got %d" % bound)
-
-
-def _resolve_hilbert_bound(polys: list[Polynomial], bound: int | None) -> int:
-    """Degree limit of a Hilbert comparison of homogeneous generators.
-
-    The exact criterion needs degree s^2 * d^(n+1); the limit is ``bound``
-    (DEFAULT_HILBERT_BOUND when None) when that is lower, with a
-    HilbertBoundWarning.  A bound below 1 is a ValueError.
-    """
-    if bound is not None:
-        _require_positive_bound(bound)
-    check_generators(polys)
-    _require_homogeneous(polys)
-    s = len(polys)
-    n = polys[0].ring.nvars
-    d = max(1, max(f.total_degree() for f in polys))
-    exact = s * s * d ** (n + 1)
-    cap = DEFAULT_HILBERT_BOUND if bound is None else bound
-    limit = min(cap, exact)
-    if limit < exact:
-        warnings.warn(
-            "Hilbert comparison truncated at degree %d (exact criterion "
-            "needs degree %d); a positive verdict means 'true up to degree "
-            "%d'" % (limit, exact, limit),
-            HilbertBoundWarning,
-            stacklevel=3,
-        )
-    return limit
-
-
-def _layers(base, steps, bound: int):
-    """The monomials of each degree t = 1..bound, one set per degree, of the
-    monoid generated by a monoid whose layers 0..bound are ``base`` and the
-    packed ``steps`` (monomial, degree d_i > 0).
-
-    They are S_t = base_t united with (S_{t - d_i} + step_i) over the
-    steps, from S_0 = base_0 = {1}: an element of S_t that uses no step
-    lies in base_t, and any other is a step plus an element of
-    S_{t - d_i}.  Only the last max(d_i) layers are kept.
-    """
-    depth = max((d for _, d in steps), default=1)
-    window = deque([()] * (depth - 1) + [base[0]], maxlen=depth)
-    for t in range(1, bound + 1):
-        layer = set(base[t])
-        for packed, d in steps:
-            layer.update(map(packed.__add__, window[-d]))
-        window.append(layer)
-        yield layer
-
-
-def _monoid_layers(steps, bound: int) -> tuple[tuple[int, ...], ...]:
-    """The monomials of each degree 0..bound of the monoid generated by the
-    packed ``steps``, one tuple per degree."""
-    trivial = ((0,),) + ((),) * bound
-    return trivial[:1] + tuple(map(tuple, _layers(trivial, steps, bound)))
-
-
-@lru_cache(maxsize=1)
-def _shared_monoid(fixed: frozenset, bound: int):
-    """``_monoid_layers`` of the fixed steps of a run, built once for all of
-    its classes: the last (steps, bound) asked for is kept."""
-    return _monoid_layers(fixed, bound)
-
-
-def _subalgebra_matcher(polys: list[Polynomial]):
-    """``matches(vector)``: whether the Hilbert function of the subalgebra
-    generated by the homogeneous ``polys`` equals the Hilbert vector
-    ``vector`` (its values in degrees 1..bound, as ``hilbert_vector``
-    returns them); it stops at the first degree that differs.
-
-    That Hilbert function does not depend on the term order, so one matcher
-    serves every class: each degree's value, the rank of all power products
-    of that degree, is computed the first time a comparison reaches it, and
-    kept.  The power products of degree t are those of degree t - d_i times
-    F_i, each multiset of generators built once, from the product with one
-    copy of its last generator less; only the last max(d_i) layers are
-    kept, each product with the index of its last generator.
-    """
-    # constant generators add only scalars, which no degree >= 1 counts
-    steps = [(i, f, d) for i, f in enumerate(polys) if (d := f.total_degree())]
-    depth = max((d for _, _, d in steps), default=1)
-    one = [(0, polys[0].ring.constant(1))]
-    window = deque([[]] * (depth - 1) + [one], maxlen=depth)
-    known: list[int] = []
-
-    def matches(vector: tuple[int, ...]) -> bool:
-        for t, value in enumerate(vector, 1):
-            if t > len(known):
-                layer = [
-                    (i, p * f)
-                    for i, f, d in steps
-                    for j, p in window[-d]
-                    if j <= i
-                ]
-                known.append(_rank_of_polynomials([p for _, p in layer]))
-                window.append(layer)
-            if value != known[t - 1]:
-                return False
-        return True
-
-    return matches
-
-
-def is_sagbi_hilbert(
-    polys: list[Polynomial], cls: OrderClass, bound: int | None = None
-) -> bool:
-    """Hilbert criterion: the subalgebra and its candidate initial algebra
-    must have equal Hilbert functions through the comparison bound.
-
-    Exact up to degree s^2 * d^(n+1); with the default cap the verdict is
-    'true up to the cap' and a HilbertBoundWarning is issued.
-    """
-    limit = _resolve_hilbert_bound(polys, bound)
-    return _subalgebra_matcher(polys)(hilbert_vector(polys, cls, limit))
-
-
-def hilbert_vector(
-    polys: list[Polynomial], cls: OrderClass, bound: int
-) -> tuple[int, ...]:
-    """Hilbert function of the leading-monomial algebra, degrees 1..bound.
-
-    A bound below 1 is a ValueError.
-    """
-    _require_positive_bound(bound)
-    check_generators(polys)
-    _require_homogeneous(polys)
-    _certified_order(polys, cls)
-    # each lead x^e becomes one int with a bit field per variable, and its
-    # degree; a monomial of degree t <= bound has no exponent above bound,
-    # so fields of bound.bit_length() bits never carry into each other
-    width = bound.bit_length()
-    fixed, varying = set(), set()
-    for f, lead in zip(polys, cls.leads):
-        # the leads of constant generators are 0 and add only scalars
-        if any(lead):
-            group = fixed if len(f.terms) == 1 else varying
-            group.add((sum(e << (width * j) for j, e in enumerate(lead)), sum(lead)))
-    base = _shared_monoid(frozenset(fixed), bound)
-    return tuple(map(len, _layers(base, varying, bound)))
-
-
-# ---------------------------------------------------------------------------
-# rankings
-
-
-class RankGroup(list):
-    """Classes tied under a ranking criterion, with their shared score.
-
-    ``score`` is the (dimension, normalized volume) pair for 'nicer' and
-    the Hilbert vector for 'preferable'.
-    """
-
-    def __init__(self, score, classes=()):
-        super().__init__(classes)
-        self.score = score
-
-
-def rank_orders(
-    polys: list[Polynomial],
-    criterion: str = "nicer",
-    bound: int | None = None,
-) -> list[RankGroup]:
-    """Rank all term-order classes, best first, as groups of ties.
-
-    'nicer' compares (dimension, normalized volume) of the convex hull of
-    the leading exponents; 'preferable' compares the Hilbert vectors of
-    the leading-monomial algebras lexicographically (homogeneous input
-    only).  Both scores depend only on the leading tuple of a class.
-    """
-    if criterion not in ("nicer", "preferable"):
-        raise ValueError("criterion must be 'nicer' or 'preferable'")
-    if criterion == "nicer":
-        def score(cls: OrderClass):
-            polytope = LatticePolytope(cls.leads)
-            return (polytope_dim(polytope), normalized_volume(polytope))
-    else:
-        limit = _resolve_hilbert_bound(polys, bound)
-
-        def score(cls: OrderClass):
-            return hilbert_vector(polys, cls, limit)
-
-    scored = [(score(cls), cls) for cls in extract_weight_vectors(polys)]
-    scored.sort(key=lambda item: item[0], reverse=True)
-    groups: list[RankGroup] = []
-    for value, cls in scored:
-        if not groups or value != groups[-1].score:
-            groups.append(RankGroup(value))
-        groups[-1].append(cls)
-    return groups
+        return rank_orders
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

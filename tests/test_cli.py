@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from basisdetect import detect, extract_weight_vectors, is_sagbi_subduction, sagbi
+from basisdetect import detect, extract_weight_vectors, is_sagbi_subduction, rank, sagbi
 from basisdetect import Polynomial, cli
 from basisdetect.cli import MAX_TERMS, ParseError, main, parse_system
 from basisdetect.sagbi import SubductionLimitError
@@ -305,6 +305,51 @@ def test_rank_preferable_json(tmp_path, capsys):
     assert "bound_warning" in report
 
 
+# characters whose JSON form json.dumps escapes in some way, with plain
+# ones, and strings and ints of every kind a report could hold
+JSON_CHARACTERS = 'ab "\\/\b\f\n\r\t\x00\x1f\x7f~\xe9\u2028\ud800\U0001f600'
+JSON_INTS = (0, 1, -1, 7, -42, 2**63, -(2**70), 10**40)
+
+
+def _report_value(rng: random.Random, depth: int):
+    """A random value of the types a report holds: dicts with str keys,
+    lists, str, int, bool and None; containers may be empty."""
+    kind = rng.randrange(7 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice(JSON_INTS + (rng.randrange(-999, 1000),))
+    if kind in (2, 3, 4):
+        return "".join(rng.choices(JSON_CHARACTERS, k=rng.randrange(6)))
+    if kind == 5:
+        return [_report_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {
+        "".join(rng.choices(JSON_CHARACTERS, k=rng.randrange(4))):
+            _report_value(rng, depth + 1)
+        for _ in range(rng.randrange(4))
+    }
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(20240)
+    for _ in range(2000):
+        value = _report_value(rng, 0)
+        assert cli._json(value) == json.dumps(value, indent=2), value
+    # a bool is not written as the int it also is
+    assert cli._json([True, 1, False, 0]) == json.dumps([True, 1, False, 0], indent=2)
+
+
+def test_json_report_is_byte_identical_to_json_dumps(tmp_path, capsys):
+    # a report with nested groups, a Hilbert vector and a bound warning
+    path = write_system(tmp_path, systems.two_cone_example())
+    code, out, _ = run_cli(
+        capsys, "rank", "--input", path, "--criterion", "preferable",
+        "--format", "json",
+    )
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_detect_sagbi_hilbert_method(tmp_path, capsys):
     path = write_system(tmp_path, systems.two_cone_example())
     code, out, _ = run_cli(
@@ -507,8 +552,8 @@ def test_limit_failures_exit_2_with_one_line(
 @pytest.mark.parametrize(
     "module, name, argv",
     [
-        (sagbi, "rank_orders", ("rank", "--criterion", "preferable")),
-        (sagbi, "rank_orders", ("rank", "--criterion", "nicer")),
+        (rank, "rank_orders", ("rank", "--criterion", "preferable")),
+        (rank, "rank_orders", ("rank", "--criterion", "nicer")),
         (detect, "verdicts", ("detect-gb",)),
         (detect, "verdicts", ("universal-sagbi",)),
     ],
@@ -591,7 +636,7 @@ def test_hilbert_rejects_non_homogeneous_before_enumeration(
         raise AssertionError("classes enumerated before the homogeneity check")
 
     monkeypatch.setattr(detect, "extract_weight_vectors", no_enumeration)
-    monkeypatch.setattr(sagbi, "extract_weight_vectors", no_enumeration)
+    monkeypatch.setattr(rank, "extract_weight_vectors", no_enumeration)
     # t*f is homogeneous only when f is: x^2 + y^2 - 1 is not
     path = write_system(tmp_path, systems.unit_circle_pair())
     code, out, err = run_cli(capsys, *argv, "--input", path, "--homogenize-t")

@@ -18,7 +18,7 @@ from basisdetect import (
     ring,
 )
 from basisdetect.lp import maximize
-from basisdetect.orders import _det, _placing_volume
+from basisdetect.rank import _det, _placing_volume
 from basisdetect.polyring import dot
 
 import systems

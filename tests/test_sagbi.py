@@ -22,12 +22,12 @@ from basisdetect import (
     verdicts,
     weight_vectors_realizing_sagbi,
 )
-from basisdetect import sagbi
-from basisdetect.orders import LatticePolytope, OrderClass
+from basisdetect import hilbert, sagbi
+from basisdetect.orders import OrderClass
 from basisdetect.polyring import dot
+from basisdetect.rank import LatticePolytope, normalized_volume, polytope_dim
 from basisdetect.sagbi import _power_product, _RelationSource, _sagbi_failure_witness
 from basisdetect.toric import ToricBinomial, _lattice_key
-from basisdetect.orders import normalized_volume, polytope_dim
 
 import systems
 
@@ -386,7 +386,7 @@ def test_preferable_ranking_builds_the_fixed_monoid_once(monkeypatch):
     every class; their monoid is built once per ranking, not per class."""
     F = systems.principal_minors_homogenized()
     builds, scored = [], []
-    build, score = sagbi._monoid_layers, sagbi.hilbert_vector
+    build, score = hilbert._monoid_layers, hilbert._hilbert_vector
 
     def counting_build(steps, bound):
         builds.append(steps)
@@ -396,9 +396,9 @@ def test_preferable_ranking_builds_the_fixed_monoid_once(monkeypatch):
         scored.append(cls)
         return score(polys, cls, bound)
 
-    monkeypatch.setattr(sagbi, "_monoid_layers", counting_build)
-    monkeypatch.setattr(sagbi, "hilbert_vector", counting_score)
-    sagbi._shared_monoid.cache_clear()
+    monkeypatch.setattr(hilbert, "_monoid_layers", counting_build)
+    monkeypatch.setattr(hilbert, "_hilbert_vector", counting_score)
+    hilbert._shared_monoid.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HilbertBoundWarning)
         groups = rank_orders(F, "preferable")

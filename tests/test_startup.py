@@ -15,6 +15,7 @@ import contextlib
 import gc
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -49,16 +50,29 @@ from basisdetect import cli
 assert cli.main({argv!r}) in (0, 1)
 """
 
-LAYERS = {"polyring", "lp", "orders", "groebner", "toric", "sagbi", "detect"}
+LAYERS = {
+    "polyring", "lp", "orders", "groebner", "completion", "toric", "sagbi",
+    "hilbert", "rank", "detect",
+}
 
-# command -> layers that must not run
+# command line -> the layers it must not run; it runs ``cli`` and every
+# other layer
+GB_NOT_RUN = {"completion", "rank", "hilbert", "sagbi", "toric"}
+SUBDUCTION_NOT_RUN = {"rank", "hilbert", "completion", "groebner"}
 NOT_RUN = {
-    "classes": {"groebner", "toric", "sagbi", "detect"},
-    "detect-gb": {"toric", "sagbi"},
-    "universal-gb": {"toric", "sagbi"},
-    "detect-sagbi": {"groebner"},
-    "universal-sagbi": {"groebner"},
-    "rank": {"groebner", "toric", "detect"},
+    "classes": GB_NOT_RUN | {"detect", "groebner"},
+    "detect-gb": GB_NOT_RUN,
+    "universal-gb": GB_NOT_RUN,
+    "detect-sagbi": SUBDUCTION_NOT_RUN,
+    "universal-sagbi": SUBDUCTION_NOT_RUN,
+    "detect-sagbi --method hilbert": {
+        "sagbi", "toric", "groebner", "completion", "rank",
+    },
+    # the default criterion, nicer
+    "rank": {"hilbert", "sagbi", "toric", "groebner", "completion", "detect"},
+    "rank --criterion preferable": {
+        "sagbi", "toric", "groebner", "completion", "detect",
+    },
 }
 
 
@@ -82,20 +96,19 @@ def bare_modules(tmp_path_factory):
 
 @pytest.mark.parametrize("command", sorted(NOT_RUN))
 def test_command_runs_only_its_layers(tmp_path, bare_modules, command):
+    # homogeneous, so the Hilbert criterion and the preferable ranking run
     path = tmp_path / "system.txt"
-    path.write_text("ring: x, y\npolys:\nx^2 + y\n")
-    argv = [command, "--input", str(path)]
-    seen = _probe(tmp_path, RUN_COMMAND.format(argv=argv))
-    ran = {name.split(".", 1)[1] for name in seen["ran"] if "." in name}
-    assert "cli" in ran and "orders" in ran
-    # only the per-class criteria go through detect.verdicts
-    assert ("detect" in ran) == (command not in ("classes", "rank"))
-    assert not ran & NOT_RUN[command], ran
-    added = set(seen["modules"]) - bare_modules
-    # the command line is read without argparse (which loads gettext and
-    # locale), and the report is text, so json is not needed either
-    for heavy in ("argparse", "gettext", "locale", "dataclasses", "inspect", "json"):
-        assert heavy not in added, heavy
+    path.write_text("ring: x, y\npolys:\nx^2 + y^2\n")
+    for fmt in ("text", "json"):
+        argv = [*command.split(), "--input", str(path), "--format", fmt]
+        seen = _probe(tmp_path, RUN_COMMAND.format(argv=argv))
+        ran = {name.split(".", 1)[1] for name in seen["ran"] if "." in name}
+        assert ran == {"cli"} | (LAYERS - NOT_RUN[command]), (fmt, ran)
+        added = set(seen["modules"]) - bare_modules
+        # the command line is read without argparse (which loads gettext
+        # and locale), and the report, text or JSON, without json
+        heavy = {"argparse", "gettext", "locale", "dataclasses", "inspect", "json"}
+        assert not heavy & added, (fmt, heavy & added)
 
 
 def test_import_runs_no_layer_but_registers_every_one(tmp_path):
@@ -105,6 +118,29 @@ def test_import_runs_no_layer_but_registers_every_one(tmp_path):
     assert seen["ran"] == ["basisdetect"]
     registered = {name for name in seen["modules"] if name.startswith("basisdetect.")}
     assert registered == {"basisdetect." + layer for layer in LAYERS}
+
+
+# Reads an unknown name and ``__path__`` (which ``from module import name``
+# looks up) from each module that forwards moved names.
+READ_UNKNOWN_NAMES = """
+from basisdetect import groebner, orders, sagbi
+for module in (orders, sagbi, groebner):
+    for name in ("no_such_name", "__path__"):
+        try:
+            getattr(module, name)
+        except AttributeError:
+            continue
+        raise SystemExit("%s.%s resolved" % (module.__name__, name))
+"""
+
+
+def test_old_modules_load_no_new_module_for_other_names(tmp_path):
+    # they forward only the names the benchmark's tracer reads; a lookup
+    # of any other name must not compile the modules the names moved to
+    seen = _probe(tmp_path, READ_UNKNOWN_NAMES)
+    ran = {name.split(".", 1)[1] for name in seen["ran"] if "." in name}
+    assert {"orders", "sagbi", "groebner"} <= ran
+    assert not ran & {"rank", "hilbert", "completion"}, ran
 
 
 def test_monomials_need_no_lp(tmp_path):
@@ -167,6 +203,28 @@ def test_main_leaves_the_collector_alone(capsys):
     assert cli.main(argv) == 0
     assert gc.get_freeze_count() == frozen
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["classes", "--input", "missing.sys"], ""),
+        (["bogus", "--input", "-"], ""),
+        (["classes", "--input", "-"], "ring: x\npolys:\nx +\n"),
+    ],
+    ids=["missing-file", "unknown-command", "parse-error"],
+)
+def test_closed_stderr_keeps_exit_code_2(tmp_path, argv, stdin):
+    # the diagnostic is lost, the exit code is not
+    command = " ".join(map(shlex.quote, [sys.executable, "-m", "basisdetect", *argv]))
+    done = subprocess.run(
+        ["sh", "-c", command + " 2>&-"],
+        input=stdin.encode(),
+        capture_output=True,
+        cwd=tmp_path,
+        env=_entry_env(),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", b"")
 
 
 # Runs the entry as ``python -m basisdetect`` does, with two CPUs whatever

@@ -69,6 +69,12 @@ def test_too_many_arguments_print_the_usage_line(tool, argv, capsys):
     assert captured.err == tool.USAGE + "\n"
 
 
+def test_the_comparison_covers_320_reports_and_5_errors():
+    files = len(list(compare_reports.SYSTEMS.glob("*.sys")))
+    reports = files * len(compare_reports.COMMANDS) * len(compare_reports.VARIANTS)
+    assert (reports, len(compare_reports.ERRORS)) == (320, 5)
+
+
 # a stand-in for a source tree whose ``python -m basisdetect`` prints the
 # same report either way, and on request leaves a process running that
 # holds none of its output pipes
@@ -103,11 +109,13 @@ def test_a_process_left_running_is_a_difference_and_is_killed(
     monkeypatch.setattr(compare_reports, "SYSTEMS", tmp_path / "systems")
     monkeypatch.setattr(compare_reports, "COMMANDS", [["classes"]])
     monkeypatch.setattr(compare_reports, "VARIANTS", [[]])
+    monkeypatch.setattr(compare_reports, "ERRORS", [(["bogus", "--input", "-"], b"x")])
     assert compare_reports.main([str(parent), str(change), "30"]) == 1
     out = capsys.readouterr().out
     assert out.splitlines() == [
         "differs: basisdetect classes --input one.sys",
-        "1 runs: 0 equal, 1 differ, 0 skipped (parent timed out after 30 s)",
+        "differs: basisdetect bogus --input -",
+        "2 runs: 0 equal, 2 differ, 0 skipped (parent timed out after 30 s)",
     ]
     # the same report, and the process left behind is reported and killed
     runs = {}

@@ -23,7 +23,7 @@ from basisdetect import (
     toric_ideal_generators,
     verdicts,
 )
-from basisdetect.sagbi import _subalgebra_matcher
+from basisdetect.hilbert import _subalgebra_matcher
 from basisdetect.toric import _lattice_key, relations_up_to_degree
 
 import systems
