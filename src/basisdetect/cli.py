@@ -24,8 +24,9 @@ resource limit (10 000 steps in one subduction, recursion depth, memory:
 stdout at all).  Reports go to stdout, diagnostics to stderr; a usage
 error prints a ``usage:`` line and ``basisdetect: error: <reason>``.  A
 diagnostic that cannot be written (stderr closed) is dropped, and the
-exit code stays.  A JSON report is written by ``_json``, not by the
-``json`` package, which no command loads.
+exit code stays.  A JSON report is written by ``_json``, which escapes
+strings with the C function of ``json.dumps``; no command loads the
+``json`` package.
 """
 
 from __future__ import annotations
@@ -313,64 +314,38 @@ def _diagnose(text: str) -> None:
         pass
 
 
-# the short escapes of json.dumps; other characters outside printable
-# ASCII are written as \uXXXX, as with its default ensure_ascii
-_JSON_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\b": "\\b",
-    "\f": "\\f",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
-
-
-def _json_char(char: str) -> str:
-    escaped = _JSON_ESCAPES.get(char)
-    if escaped is not None:
-        return escaped
-    if " " <= char <= "~":
-        return char
-    code = ord(char)
-    if code > 0xFFFF:  # outside the BMP: a UTF-16 surrogate pair
-        code -= 0x10000
-        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
-    return "\\u%04x" % code
-
-
-def _json_string(text: str) -> str:
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return '"' + text + '"'
-    return '"' + "".join(map(_json_char, text)) + '"'
-
-
-def _json(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for the values a
+def _json(report) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte, for the values a
     report holds: dicts with str keys, lists, str, int, bool and None.
-    The report needs no more, and so no command loads ``json``."""
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [
-            inner + _json_string(k) + ": " + _json(v, inner) for k, v in value.items()
-        ]
-        brackets = "{}"
-    elif isinstance(value, list):
-        items = [inner + _json(v, inner) for v in value]
-        brackets = "[]"
-    else:
-        raise TypeError("%s is not a report value" % type(value).__name__)
-    if not items:
-        return brackets
-    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+    Strings are escaped by the C function ``json.dumps`` itself uses, and
+    the ``json`` package, which no command needs, is not loaded."""
+    from _json import encode_basestring_ascii as string
+
+    def encode(value, indent: str) -> str:
+        if isinstance(value, str):
+            return string(value)
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [
+                inner + string(k) + ": " + encode(v, inner) for k, v in value.items()
+            ]
+            brackets = "{}"
+        elif isinstance(value, list):
+            items = [inner + encode(v, inner) for v in value]
+            brackets = "[]"
+        else:
+            raise TypeError("%s is not a report value" % type(value).__name__)
+        if not items:
+            return brackets
+        return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+
+    return encode(report, "")
 
 
 def _emit(report: dict, fmt: str) -> None:

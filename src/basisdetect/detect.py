@@ -85,16 +85,13 @@ def verdicts(
     ``shared`` keyword of ``is_sagbi_subduction``).
     """
     if criterion == "hilbert":
-        from .hilbert import _hilbert_vector, _resolve_hilbert_bound
-        from .hilbert import _subalgebra_matcher
+        from .hilbert import _resolve_hilbert_bound, _subalgebra_matcher, hilbert_vector
 
-        # the input is checked here, once; the classes are enumerated and
-        # certified, so each vector needs no further check
         limit = _resolve_hilbert_bound(polys, bound)
         matches = _subalgebra_matcher(polys)
 
         def check(cls: OrderClass) -> bool:
-            return matches(_hilbert_vector(polys, cls, limit))
+            return matches(hilbert_vector(polys, cls, limit))
 
         # the shared subalgebra ranks are nearly all of the cost; workers
         # could take only the cheap class vectors

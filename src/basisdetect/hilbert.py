@@ -194,15 +194,6 @@ def hilbert_vector(
     check_generators(polys)
     _require_homogeneous(polys)
     cls.certified_order(polys)
-    return _hilbert_vector(polys, cls, bound)
-
-
-def _hilbert_vector(
-    polys: list[Polynomial], cls: OrderClass, bound: int
-) -> tuple[int, ...]:
-    """``hilbert_vector`` without its checks, for callers that checked the
-    generators and the bound once (``_resolve_hilbert_bound``) and take
-    their classes from ``extract_weight_vectors``."""
     # each lead x^e becomes one int with a bit field per variable, and its
     # degree; a monomial of degree t <= bound has no exponent above bound,
     # so fields of bound.bit_length() bits never carry into each other

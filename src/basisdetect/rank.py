@@ -219,14 +219,12 @@ def rank_orders(
             polytope = LatticePolytope(cls.leads)
             return (polytope_dim(polytope), normalized_volume(polytope))
     else:
-        from .hilbert import _hilbert_vector, _resolve_hilbert_bound
+        from .hilbert import _resolve_hilbert_bound, hilbert_vector
 
-        # the input is checked here, once; the classes are enumerated and
-        # certified, so each vector needs no further check
         limit = _resolve_hilbert_bound(polys, bound)
 
         def score(cls: OrderClass):
-            return _hilbert_vector(polys, cls, limit)
+            return hilbert_vector(polys, cls, limit)
 
     scored = [(score(cls), cls) for cls in extract_weight_vectors(polys)]
     scored.sort(key=lambda item: item[0], reverse=True)

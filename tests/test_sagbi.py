@@ -386,7 +386,7 @@ def test_preferable_ranking_builds_the_fixed_monoid_once(monkeypatch):
     every class; their monoid is built once per ranking, not per class."""
     F = systems.principal_minors_homogenized()
     builds, scored = [], []
-    build, score = hilbert._monoid_layers, hilbert._hilbert_vector
+    build, score = hilbert._monoid_layers, hilbert.hilbert_vector
 
     def counting_build(steps, bound):
         builds.append(steps)
@@ -397,7 +397,7 @@ def test_preferable_ranking_builds_the_fixed_monoid_once(monkeypatch):
         return score(polys, cls, bound)
 
     monkeypatch.setattr(hilbert, "_monoid_layers", counting_build)
-    monkeypatch.setattr(hilbert, "_hilbert_vector", counting_score)
+    monkeypatch.setattr(hilbert, "hilbert_vector", counting_score)
     hilbert._shared_monoid.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HilbertBoundWarning)
