@@ -37,7 +37,7 @@ def _primitive(terms: dict, lead: Exponent) -> tuple:
     integer coefficients) times the rational number that makes them
     coprime integers with a positive coefficient at ``lead``."""
     scale = lcm(*(c.denominator for c in terms.values()))
-    ints = {e: int(c * scale) for e, c in terms.items()}
+    ints = {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
     content = gcd(*ints.values()) if ints[lead] > 0 else -gcd(*ints.values())
     return lead, {e: c // content for e, c in ints.items()}
 

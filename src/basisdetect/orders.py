@@ -97,8 +97,9 @@ def extract_weight_vectors(polys: list[Polynomial]) -> list[OrderClass]:
     """All term-order equivalence classes of F, each with a certified weight.
 
     Per-polynomial choices that are never weight-maximal are pruned with a
-    single-polynomial feasibility test, then the product of the candidates
-    is walked depth first.  A tuple's program joins the rows of its leads,
+    single-polynomial feasibility test, run once per distinct support (the
+    test reads only the support), then the product of the candidates is
+    walked depth first.  A tuple's program joins the rows of its leads,
     built once per candidate, in the order ``cone_feasibility`` uses.  No
     program is solved for a tuple that contains a core, leads that no
     weight gives together: two leads that rank two shared monomials both
@@ -108,9 +109,13 @@ def extract_weight_vectors(polys: list[Polynomial]) -> list[OrderClass]:
     check_generators(polys)
     n = polys[0].ring.nvars
     blocks = []
+    seen = {}  # the candidate block of each support
     for f in polys:
-        rows = ((u, _cone_rows(f, u)) for u in sorted(f.terms))
-        blocks.append({u: r for u, r in rows if _cone(r, n)[0]})
+        support = tuple(sorted(f.terms))
+        if support not in seen:
+            rows = ((u, _cone_rows(f, u)) for u in support)
+            seen[support] = {u: r for u, r in rows if _cone(r, n)[0]}
+        blocks.append(seen[support])
     cores = [[] for _ in polys]  # by their last generator
     for core in _contradictions(polys, blocks):
         cores[core[-1][0]].append(core)

@@ -8,7 +8,7 @@ All values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, index, le, sub
+from operator import add, index, le, mul, sub
 
 Exponent = tuple[int, ...]
 
@@ -299,7 +299,7 @@ class TermOrder(_FrozenRecord):
 
 
 def dot(w, e) -> int:
-    return sum(a * b for a, b in zip(w, e))
+    return sum(map(mul, w, e))
 
 
 def initial_form(f: Polynomial, weight) -> Polynomial:
@@ -326,7 +326,7 @@ def check_generators(polys: list[Polynomial]) -> None:
         raise ValueError("empty generator list")
     base = polys[0].ring
     for f in polys:
-        if f.ring != base:
+        if f.ring is not base and f.ring != base:
             raise ValueError("polynomials belong to different rings")
         if f.is_zero():
             raise ValueError("zero polynomial in generator set")

@@ -17,6 +17,8 @@ from basisdetect import (
     weight_vectors_realizing_gb,
 )
 
+from basisdetect.groebner import _primitive
+
 import groebner_oracle
 import systems
 
@@ -228,3 +230,24 @@ def test_criterion_checks_every_generator():
         is_groebner_basis([x + y, x * y], TermOrder((1,)))
     with pytest.raises(ValueError, match="zero polynomial"):
         is_groebner_basis([x, R.zero()], TermOrder((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "terms, lead, expected",
+    [
+        # rational coefficients: times 12, content 1
+        ({(1, 0): Fraction(3, 4), (0, 1): Fraction(-1, 6)}, (1, 0), [9, -2]),
+        # a negative lead coefficient: divided by minus the content
+        ({(1, 0): Fraction(-3, 4), (0, 1): Fraction(3, 2)}, (1, 0), [1, -2]),
+        ({(1, 0): Fraction(5), (0, 1): Fraction(-10, 3)}, (0, 1), [-3, 2]),
+        # integer coefficients, as completion passes them
+        ({(1, 0): -4, (0, 1): 6, (0, 0): -2}, (0, 0), [2, -3, 1]),
+        ({(2, 0): Fraction(2**70, 3), (0, 0): Fraction(-(2**71), 5)}, (2, 0), [5, -6]),
+    ],
+)
+def test_primitive_makes_coprime_integers_with_a_positive_lead(terms, lead, expected):
+    got_lead, ints = _primitive(terms, lead)
+    assert got_lead == lead and list(ints.values()) == expected
+    assert all(type(c) is int for c in ints.values())
+    ratio = Fraction(ints[lead]) / Fraction(terms[lead])
+    assert all(ints[e] == ratio * c for e, c in terms.items())

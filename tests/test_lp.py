@@ -193,6 +193,39 @@ def test_cone_weight_matches_maximize_on_random_cones():
     assert zero >= 50 and positive >= 50 and degenerate >= 50
 
 
+def enumeration_rows(rng, n):
+    """The rows ``u - lead, 1, 0`` of one to three random supports in
+    {0, 1, 2}^n, as enumeration joins them for a leading tuple."""
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        support = set()
+        while len(support) < 2:
+            support = {
+                tuple(rng.randint(0, 2) for _ in range(n))
+                for _ in range(rng.randint(2, 5))
+            }
+        support = sorted(support)
+        lead = rng.choice(support)
+        rows += [[a - b for a, b in zip(u, lead)] + [1, 0] for u in support if u != lead]
+    return rows
+
+
+def test_cone_weight_matches_oracle_on_random_cones_up_to_ten_variables():
+    # A positive optimum has some w_j at its bound 1 (the program is
+    # homogeneous in w and eps), reached by a bound flip or a pivot on a
+    # complement; the weights strictly inside the box are the ones a
+    # complement row must get right with its right-hand side D - rhs.
+    rng = random.Random(24)
+    zero = at_bound = inside = 0
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        value, point = assert_cone_agrees(enumeration_rows(rng, n), n)
+        zero += value == 0
+        at_bound += 1 in point[:n]
+        inside += any(0 < x < 1 for x in point[:n])
+    assert zero >= 50 and at_bound >= 100 and inside >= 50
+
+
 def test_cone_weight_without_rows_is_unbounded_like_maximize():
     # eps is then bounded by nothing; enumeration never asks
     assert assert_agrees(*general_program([], 3)) is UnboundedError
@@ -209,6 +242,15 @@ def test_cone_weight_leaves_its_rows_unchanged():
     copy = [list(r) for r in rows]
     value, point = assert_cone_agrees(rows, 2)
     assert value == 0 and rows == copy
+    # eps enters on the first row; then no row limits w_0, so it flips to
+    # its bound 1, which changes the first row's entry and right-hand
+    # side.  That row is also the last one, as a repeated lead's block is
+    # shared between generators.
+    shared = [-1, -1, 1, 0]
+    rows = [shared, [-1, 0, 1, 0], shared]
+    value, point = assert_cone_agrees(rows, 2)
+    assert point[:2] == [1, 0]
+    assert rows == [[-1, -1, 1, 0], [-1, 0, 1, 0], [-1, -1, 1, 0]]
 
 
 @pytest.mark.parametrize(
@@ -219,6 +261,12 @@ def test_cone_weight_leaves_its_rows_unchanged():
         systems.three_surfaces,
         systems.gaussian_ci,
         systems.elementary_symmetric,
+        # bench-sized programs on 8 to 10 variables and up to 20 rows;
+        # between them they flip bounds, pivot on complement rows and
+        # bring complements in
+        systems.sullivant_talaska_c4,
+        systems.minors_2x2_of_3x3,
+        systems.grassmannian_2_4,
     ],
 )
 def test_every_enumeration_lp_matches_oracle(make, monkeypatch):

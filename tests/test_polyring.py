@@ -12,10 +12,13 @@ from basisdetect import (
     TermOrder,
     homogenize_with_t,
     initial_form,
+    is_groebner_basis,
     ring,
     s_polynomial,
     solve_monomial_membership,
 )
+
+from basisdetect.polyring import check_generators, dot
 
 from lp_oracle import normalize_weight
 
@@ -156,6 +159,30 @@ def test_normalize_weight():
         normalize_weight((0, 0))
     with pytest.raises(ValueError):
         normalize_weight((1, -1))
+
+
+def test_dot_and_key_are_exact_on_big_and_negative_integers():
+    big = 2**80 + 1
+    assert dot((big, -3, 0), (5, -(2**65), 7)) == 5 * big + 3 * 2**65
+    assert dot((-big, 2), (big, -1)) == -(big**2) - 2
+    assert dot((), ()) == 0
+    order = TermOrder((big, 1))
+    assert order.key((3, 2**70)) == (3 * big + 2**70, (3, 2**70))
+    # equal weights: the exponents decide, x before y
+    assert order.key((0, big)) < order.key((1, 0))
+
+
+def test_generators_of_equal_rings_are_accepted():
+    # two ring objects with the same variables are the same ring
+    x = ring("x", "y").variable("x")
+    y = ring("x", "y").variable("y")
+    assert x.ring is not y.ring
+    check_generators([x, y])
+    assert is_groebner_basis([x, y], TermOrder((1, 1)))
+    with pytest.raises(ValueError, match="different rings"):
+        check_generators([x, ring("x", "z").variable("z")])
+    with pytest.raises(ValueError, match="different rings"):
+        check_generators([x, ring("y", "x").variable("y")])
 
 
 def test_term_order_rejects_bad_weights():
