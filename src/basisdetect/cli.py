@@ -17,16 +17,17 @@ to more than MAX_TERMS, is a parse error, as is an integer literal with
 more digits than the interpreter converts (4300 by default).
 
 Exit codes: 0 on success (and for ``-h``), 1 when a detect command finds
-no classes, 2 on usage, input or option errors, when a computation hits a
-resource limit (10 000 steps in one subduction, recursion depth, memory:
-``limit error: out of memory``), and when stdout cannot be written
-(``output error: <reason>``: a reader that has gone, a full device, no
-stdout at all).  Reports go to stdout, diagnostics to stderr; a usage
-error prints a ``usage:`` line and ``basisdetect: error: <reason>``.  A
-diagnostic that cannot be written (stderr closed) is dropped, and the
-exit code stays.  A JSON report is written by ``_json``, which escapes
-strings with the C function of ``json.dumps``; no command loads the
-``json`` package.
+no classes, 2 on usage, input or option errors (``input error: stdin is
+closed`` for ``--input -`` without a stdin), when a computation or the
+read of the input hits a resource limit (10 000 steps in one subduction,
+recursion depth, memory: ``limit error: out of memory``), and when
+stdout cannot be written (``output error: <reason>``: a reader that has
+gone, a full device, no stdout at all).  Reports go to stdout,
+diagnostics to stderr; a usage error prints a ``usage:`` line and
+``basisdetect: error: <reason>``.  A diagnostic that cannot be written
+(stderr closed) is dropped, and the exit code stays.  A JSON report is
+written by ``_json``, which escapes strings with the C function of
+``json.dumps``; no command loads the ``json`` package.
 """
 
 from __future__ import annotations
@@ -408,15 +409,20 @@ def run(args) -> int:
             _diagnose("option error: %s must be at least 1, got %d" % (option, value))
             return 2
     try:
-        if args.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        _diagnose("input error: %s" % exc)
-        return 2
-    try:
+        # inside the outer try, so that running out of memory while reading
+        # is a limit error and an undecodable input (a ValueError) an input
+        # error
+        try:
+            if args.input == "-":
+                if sys.stdin is None:
+                    raise OSError("stdin is closed")
+                text = sys.stdin.read()
+            else:
+                with open(args.input, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+        except OSError as exc:
+            _diagnose("input error: %s" % exc)
+            return 2
         polys = parse_system(text)
         if args.homogenize_t:
             polys = homogenize_with_t(polys)
@@ -473,7 +479,7 @@ def run(args) -> int:
         if command.startswith("detect-") and not report["classes"]:
             return 1
         return 0
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         _diagnose("input error: %s" % exc)
         return 2
     except (SubductionLimitError, RecursionError) as exc:

@@ -16,14 +16,19 @@ one generator and kept in a table keyed by the multiplicity vector v;
 the leading coefficients they scale by are read off the products
 themselves.
 
-The subduction criterion makes one pass per class: one matrix of leading
-exponents and one product table serve every lift and every subduction
-of the class.  Its relations come from one source, ``_RelationSource``,
-which hands each class those of degree <= 3 first and then the
-generating set of the relation ideal, computed only once every low
-relation has subduced to zero.  The relations depend only on the
-lattice ker A of the lead matrix A, so in one serial run of
-``detect.verdicts`` the classes of one lattice share their lists.
+The subduction criterion is one loop per class, in
+``is_sagbi_subduction``: one matrix of leading exponents and one product
+table serve every lift and every subduction of the class.  Each lift is
+a term dict, copied from a product in the table and subduced in place
+by ``_subduce``; the loop stops at the first that leaves a remainder,
+and builds no polynomial for it.  The public ``subduction`` runs the
+same ``_subduce`` on a copy of its input's terms.  The relations come
+from one source, ``_RelationSource``, which hands each class those of
+degree <= 3 first and then the generating set of the relation ideal,
+computed only once every low relation has subduced to zero.  The
+relations depend only on the lattice ker A of the lead matrix A, so in
+one serial run of ``detect.verdicts`` the classes of one lattice share
+their lists.
 """
 
 from __future__ import annotations
@@ -103,15 +108,18 @@ def subduction(
     if f.ring != polys[0].ring:
         raise ValueError("polynomial ring differs from generator ring")
     matrix = toric.ExponentMatrix([order.leading_exponent(g) for g in polys])
-    return _subduce(f, polys, order, matrix, {})
-
-
-def _subduce(f, polys, order, matrix, cache) -> SubductionResult:
-    """The subduction loop, given the generators' leading exponents as the
-    columns of ``matrix`` and a table of their power products, ``cache``,
-    that it extends."""
-    steps: list[tuple[Fraction, tuple[int, ...]]] = []
     work = dict(f.terms)
+    steps = _subduce(work, polys, order, matrix, {})
+    return SubductionResult(Polynomial(f.ring, work), steps)
+
+
+def _subduce(work: dict, polys, order, matrix, cache) -> list:
+    """The subduction loop on the term dict ``work``, which it changes in
+    place into the remainder; returns the steps.  The generators' leading
+    exponents are the columns of ``matrix``, and ``cache`` is a table of
+    their power products, which it extends; a product in it is only
+    read."""
+    steps: list[tuple[Fraction, tuple[int, ...]]] = []
     previous = None
     while work:
         if len(steps) >= SUBDUCTION_CAP:
@@ -129,17 +137,7 @@ def _subduce(f, polys, order, matrix, cache) -> SubductionResult:
         _add_multiple(work, -scale, None, product.terms)
         steps.append((scale, v))
         previous = lead
-    return SubductionResult(Polynomial(f.ring, work), steps)
-
-
-def _relation_spoly(
-    polys: list[Polynomial], u, v, lead, cache: dict
-) -> Polynomial:
-    """Lift y^u - y^v to generators, scaled so that their leading terms, at
-    the exponent ``lead`` = A u = A v, cancel."""
-    left = _power_product(polys, u, cache)
-    right = _power_product(polys, v, cache)
-    return left._plus(-left.terms[lead] / right.terms[lead], right)
+    return steps
 
 
 class _RelationSource:
@@ -185,34 +183,6 @@ class _RelationSource:
         yield from rest
 
 
-def _sagbi_failure_witness(
-    polys: list[Polynomial], cls: OrderClass, relations: _RelationSource
-) -> Polynomial | None:
-    """First lifted relation whose subduction remainder is nonzero, if any.
-
-    A nonzero remainder for any single relation already disproves the
-    basis property, so cheap low-degree relations are tried before the
-    full elimination-based generating set is computed.  The class's
-    leading exponents and one product table serve every lift and every
-    subduction; the relations come from ``relations``, which may have
-    them from another class of the same lattice, so each is checked
-    against this class's matrix.
-    """
-    check_generators(polys)
-    order = cls.certified_order(polys)
-    matrix = toric.ExponentMatrix(cls.leads)
-    cache: dict = {}
-    for binomial in relations.of(matrix):
-        lead = matrix.apply(binomial.u)
-        if matrix.apply(binomial.v) != lead:
-            raise AssertionError("relation of another lattice")
-        spoly = _relation_spoly(polys, binomial.u, binomial.v, lead, cache)
-        result = _subduce(spoly, polys, order, matrix, cache)
-        if not result.remainder.is_zero():
-            return spoly
-    return None
-
-
 def is_sagbi_subduction(
     polys: list[Polynomial],
     cls: OrderClass,
@@ -220,11 +190,36 @@ def is_sagbi_subduction(
     shared: _RelationSource | None = None,
 ) -> bool:
     """Subduction criterion: every lifted generating relation of the
-    leading monomials must subduce to zero.  ``shared`` is the run's
-    ``_RelationSource``, which ``detect.verdicts`` builds; without it the
-    class takes an empty source, which shares nothing."""
-    relations = _RelationSource() if shared is None else shared
-    return _sagbi_failure_witness(polys, cls, relations) is None
+    leading monomials must subduce to zero.
+
+    Each relation y^u - y^v lifts to F^u - (c_u / c_v) F^v, scaled so that
+    the leading terms, at A u = A v, cancel; the first lift that leaves a
+    nonzero remainder disproves the basis property.  So the cheap
+    relations of degree <= 3 come first, and the generating set only
+    after all of them subduced to zero.  The class's leading exponents and
+    one product table serve every lift and every subduction; each lift
+    starts from a copy of a product's term dict.  ``shared`` is the run's
+    ``_RelationSource``, which ``detect.verdicts`` builds and which may
+    hand over the relations of another class of the same lattice, so each
+    is checked against this class's matrix; without it the class takes an
+    empty source, which shares nothing.
+    """
+    check_generators(polys)
+    order = cls.certified_order(polys)
+    matrix = toric.ExponentMatrix(cls.leads)
+    cache: dict = {}
+    for binomial in (shared or _RelationSource()).of(matrix):
+        lead = matrix.apply(binomial.u)
+        if matrix.apply(binomial.v) != lead:
+            raise AssertionError("relation of another lattice")
+        left = _power_product(polys, binomial.u, cache).terms
+        right = _power_product(polys, binomial.v, cache).terms
+        work = dict(left)
+        _add_multiple(work, -left[lead] / right[lead], None, right)
+        _subduce(work, polys, order, matrix, cache)
+        if work:
+            return False
+    return True
 
 
 def __getattr__(name: str):

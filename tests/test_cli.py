@@ -406,6 +406,29 @@ def test_non_utf8_file_exit_code(tmp_path, capsys):
     assert err.startswith("input error: ") and "utf-8" in err
 
 
+def test_closed_stdin_is_an_input_error():
+    # started with fd 0 closed, the interpreter has no sys.stdin
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m", "basisdetect",
+         "classes", "--input", "-"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, b"", b"input error: stdin is closed\n"
+    )
+
+
+def test_out_of_memory_while_reading_is_a_limit_error(capsys, monkeypatch):
+    class Exhausting:
+        def read(self):
+            raise MemoryError
+
+    monkeypatch.setattr("sys.stdin", Exhausting())
+    code, out, err = run_cli(capsys, "classes", "--input", "-")
+    assert (code, out, err) == (2, "", "limit error: out of memory\n")
+
+
 def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch):
     raw = io.BytesIO(b"ring: x\npolys:\n\xff\n")
     stdin = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")

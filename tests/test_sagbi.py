@@ -26,8 +26,8 @@ from basisdetect import hilbert, sagbi
 from basisdetect.orders import OrderClass
 from basisdetect.polyring import dot
 from basisdetect.rank import LatticePolytope, normalized_volume, polytope_dim
-from basisdetect.sagbi import _power_product, _RelationSource, _sagbi_failure_witness
-from basisdetect.toric import ToricBinomial, _lattice_key
+from basisdetect.sagbi import _power_product, _RelationSource
+from basisdetect.toric import ToricBinomial, _lattice_key, relations_up_to_degree
 
 import systems
 
@@ -203,6 +203,38 @@ def test_shared_stream_is_checked_against_each_class():
         is_sagbi_subduction(F, green, shared=shared)
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        systems.grassmannian_2_4,
+        systems.twisted_cubic,
+        systems.minors_2x2_of_3x3,
+        systems.non_sagbi_trio,
+    ],
+)
+def test_criterion_leaves_the_product_table_unchanged(system, monkeypatch):
+    # every lift starts from a copy of a cached product's term dict; a lift
+    # or subduction that wrote into the table would corrupt every later
+    # product of the class
+    F = system()
+    recorded = []
+
+    def recording(polys, multiplicities, cache):
+        product = _power_product(polys, multiplicities, cache)
+        recorded.append((tuple(multiplicities), product))
+        return product
+
+    monkeypatch.setattr(sagbi, "_power_product", recording)
+    for cls in extract_weight_vectors(F):
+        is_sagbi_subduction(F, cls)
+    assert recorded
+    for v, product in recorded:
+        expected = F[0].ring.constant(1)
+        for f, k in zip(F, v):
+            expected = expected * f**k
+        assert product == expected, v
+
+
 def test_is_sagbi_two_cones():
     F, green, red = _green_red()
     assert is_sagbi_subduction(F, green)
@@ -277,8 +309,19 @@ def test_hilbert_criterion_two_cones():
 
 def test_hilbert_failure_degree_matches_vector_difference():
     F, green, red = _green_red()
-    witness = _sagbi_failure_witness(F, red, _RelationSource())
-    assert witness is not None
+    matrix = ExponentMatrix(red.leads)
+    cache = {}
+    # the first low relation whose lift F^u - (c_u / c_v) F^v does not
+    # subduce to zero
+    for b in relations_up_to_degree(matrix, 3):
+        left = _power_product(F, b.u, cache)
+        right = _power_product(F, b.v, cache)
+        lead = matrix.apply(b.u)
+        witness = left - right.scale(left.terms[lead] / right.terms[lead])
+        if not subduction(witness, F, red.order()).remainder.is_zero():
+            break
+    else:
+        pytest.fail("every low relation subduces to zero")
     degree = witness.total_degree()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HilbertBoundWarning)
